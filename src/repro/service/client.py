@@ -1,16 +1,18 @@
 """In-process client: blocking calls and batched multi-ops.
 
 The client turns the ticket-based service protocol into plain method
-calls, and is the layer where *bounded waiting* lives: a rejected
-submit backs off exponentially (with seeded jitter) under a total pump
-budget before raising :class:`ServiceOverloadedError`, and completing a
-ticket pumps at most ``deadline_pumps`` times before the client marks
-the ticket failed, cancels it at its shard, and raises
-:class:`DeadlineExceededError` — no call can spin forever, even when a
-fault plane is stalling workers underneath.  The client also keeps the
-ack ledger the acceptance criteria care about — ``puts_accepted`` vs
-``puts_acked`` — so a load generator can assert zero lost acknowledged
-writes after a run.
+calls, and is the layer where *bounded waiting* lives: every call,
+scalar or batch, admits through one batch walk that re-admits the
+rejected remainder after a deterministic exponential backoff (a
+synchronous caller has nobody to de-synchronise from, so there is no
+jitter) under a total pump budget before raising
+:class:`ServiceOverloadedError`, and completing a ticket pumps at most
+``deadline_pumps`` times before the client marks the ticket failed,
+cancels it at its shard, and raises :class:`DeadlineExceededError` — no
+call can spin forever, even when a fault plane is stalling workers
+underneath.  The client also keeps the ack ledger the acceptance
+criteria care about — ``puts_accepted`` vs ``puts_acked`` — so a load
+generator can assert zero lost acknowledged writes after a run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro._util import as_bytes
 
@@ -75,13 +77,11 @@ class ServiceClient:
         max_retries: int = 64,
         deadline_pumps: int = 1024,
         submit_pump_budget: int = 4096,
-        jitter_seed: int = 0xC11E,
     ):
         self.service = service
         self.max_retries = max_retries
         self.deadline_pumps = deadline_pumps
         self.submit_pump_budget = submit_pump_budget
-        self._rng = random.Random(jitter_seed)
         self.retries = 0
         self.backoff_pumps = 0
         self.deadline_failures = 0
@@ -92,54 +92,66 @@ class ServiceClient:
 
     # ----------------------------------------------------------- plumbing
 
-    def _submit(self, request: Request,
-                rejected: Optional[Ticket] = None) -> Ticket:
-        """Admit one request, backing off under explicit backpressure.
+    def _admit(self, requests: Sequence[Request]) -> List[Ticket]:
+        """Admit a batch under explicit backpressure: one batch walk.
 
-        ``rejected`` carries a rejection the caller already received
-        for this request (the batch-admission fast path): the retry
-        walk then starts from that rejection's backoff hint instead of
-        immediately re-submitting into the same full queue — which
-        would burn a retry that is all but guaranteed to re-reject and
-        double-count the backpressure event in both the client's
-        ``retries`` and the service's rejection ledger.
+        Each attempt submits the rejected remainder as one batch, in
+        its original order, and keeps the tickets the service accepted.
+        Between attempts the client backs off once for the whole
+        remainder: ``min(largest retry_after << attempt,
+        BACKOFF_CAP_PUMPS, budget left)`` pumps.  A missing hint counts
+        as one pump; an explicit ``retry_after=0`` means "retry
+        immediately" and spends nothing.
+
+        The bound covers a stalled service, not a long batch: an
+        attempt that admits anything starts the remainder on a fresh
+        walk (``attempt`` and the pump budget reset, as if each request
+        had its own walk).  After ``max_retries + 1`` attempts in a row
+        without progress, or once ``submit_pump_budget`` is spent since
+        the last progress, the walk raises
+        :class:`ServiceOverloadedError`.
+
+        Per-key admission order survives the walk because a shard that
+        rejects a request stays closed for the rest of that batch (see
+        :meth:`Service.submit_batch`): a later write to a key is never
+        accepted ahead of an earlier one that is still waiting.
         """
+        tickets: List[Optional[Ticket]] = [None] * len(requests)
+        remainder: Sequence[int] = range(len(requests))
+        batch = requests
+        attempt = 0
         spent = 0
-        ticket = rejected
-        for attempt in range(self.max_retries + 1):
-            if ticket is None:
-                ticket = self.service.submit(request)
-                if not ticket.rejected:
-                    if request.op == "put":
-                        self.puts_accepted += 1
-                    return ticket
-                self.retries += 1
-            if spent >= self.submit_pump_budget:
+        while True:
+            rejected: List[int] = []
+            for i, ticket in zip(remainder, self.service.submit_batch(batch)):
+                tickets[i] = ticket
+                if ticket.rejected:
+                    rejected.append(i)
+                elif requests[i].op == "put":
+                    self.puts_accepted += 1
+            if not rejected:
+                return tickets
+            self.retries += len(rejected)
+            if len(rejected) < len(remainder):
+                attempt, spent = 0, 0
+            remainder = rejected
+            budget_left = self.submit_pump_budget - spent
+            if attempt == self.max_retries or budget_left <= 0:
                 break
-            # Exponential backoff over the explicit backpressure hint,
-            # with full seeded jitter.  A falsy hint is handled
-            # explicitly rather than promoted: None (no hint at all)
-            # defaults to one pump, but an explicit ``retry_after=0``
-            # means "retry immediately" and spends nothing.  Every
-            # attempt's spend is capped at BACKOFF_CAP_PUMPS and the
-            # total is bounded by the budget, no matter how long the
-            # service stays saturated.
-            hint = ticket.response.retry_after
-            hint = 1 if hint is None else max(0, int(hint))
-            ceiling = min(
-                hint << min(attempt, 6),
-                BACKOFF_CAP_PUMPS,
-                self.submit_pump_budget - spent,
-            )
-            pumps = self._rng.randint(1, ceiling) if ceiling >= 1 else 0
+            hints = [tickets[i].response.retry_after for i in remainder]
+            hint = max(1 if h is None else max(0, int(h)) for h in hints)
+            pumps = min(hint << attempt, BACKOFF_CAP_PUMPS, budget_left)
             for _ in range(pumps):
                 self.service.pump()
             spent += pumps
             self.backoff_pumps += pumps
-            ticket = None  # resubmit on the next pass
+            batch = [requests[i] for i in remainder]
+            attempt += 1
+        shards = sorted({tickets[i].shard for i in remainder})
         raise ServiceOverloadedError(
-            f"submit rejected {self.retries} times, {spent} backoff pumps "
-            f"spent (shard {ticket.shard if ticket is not None else '?'})"
+            f"{len(remainder)} request(s) still rejected after "
+            f"{attempt + 1} attempt(s) without progress and {spent} "
+            f"backoff pump(s) (shards {shards})"
         )
 
     def _complete(self, ticket: Ticket) -> Response:
@@ -176,7 +188,7 @@ class ServiceClient:
                     self.puts_responded += 1
                 self.generation_retries += 1
                 resubmits += 1
-                ticket = self._submit(ticket.request)
+                ticket = self._admit([ticket.request])[0]
                 continue
             break
         if ticket.request.op == "put":
@@ -185,57 +197,30 @@ class ServiceClient:
                 self.puts_acked += 1
         return ticket.response
 
-    def _submit_many(self, requests: Sequence[Request]) -> List[Ticket]:
-        """Admit a whole batch through one vectorized routing pass.
+    def _call(self, request: Request) -> Response:
+        return self._complete(self._admit([request])[0])
 
-        Rejected tickets walk the scalar retry/backoff path one by one;
-        accepted ones keep the same ledger bookkeeping as
-        :meth:`_submit`.  Callers must only use this when admission
-        order between the batch's requests does not matter per key
-        (distinct keys, or read-only ops) — a rejected request is
-        re-admitted *after* its batch siblings.
-        """
-        tickets = list(self.service.submit_batch(requests))
-        out: List[Ticket] = []
-        for request, ticket in zip(requests, tickets):
-            if ticket.rejected:
-                # One backpressure event, counted once: hand the
-                # rejection to the scalar walk so it backs off on this
-                # hint first instead of re-submitting immediately (and
-                # double-counting the event in retries/rejections).
-                self.retries += 1
-                ticket = self._submit(request, rejected=ticket)
-            elif request.op == "put":
-                self.puts_accepted += 1
-            out.append(ticket)
-        return out
-
-    def _complete_all(self, tickets: Sequence[Ticket]) -> List[Response]:
+    def _call_many(self, requests: Sequence[Request]) -> List[Response]:
+        tickets = self._admit(requests)
         self.service.drain()
         return [self._complete(ticket) for ticket in tickets]
 
     # ------------------------------------------------------------ scalar
 
     def get(self, key) -> Optional[bytes]:
-        response = self._complete(self._submit(Request("get", as_bytes(key))))
-        return response.value
+        return self._call(Request("get", as_bytes(key))).value
 
     def put(self, key, value) -> Response:
-        return self._complete(
-            self._submit(Request("put", as_bytes(key), as_bytes(value)))
-        )
+        return self._call(Request("put", as_bytes(key), as_bytes(value)))
 
     def delete(self, key) -> Response:
-        return self._complete(self._submit(Request("delete", as_bytes(key))))
+        return self._call(Request("delete", as_bytes(key)))
 
     def contains(self, key) -> bool:
-        response = self._complete(
-            self._submit(Request("contains", as_bytes(key)))
-        )
-        return bool(response.found)
+        return bool(self._call(Request("contains", as_bytes(key))).found)
 
     def stats(self) -> Dict[str, object]:
-        return self._complete(self._submit(Request("stats"))).stats
+        return self._call(Request("stats")).stats
 
     def similar(self, key, k: int = 10) -> List[Tuple[bytes, float]]:
         """Top-k neighbors of a stored item on the similarity backend.
@@ -243,55 +228,41 @@ class ServiceClient:
         Returns ``(neighbor key, estimated Jaccard)`` pairs, best
         first; empty when the key is unknown to its shard.
         """
-        response = self._complete(self._submit(
+        response = self._call(
             Request("similar", as_bytes(key), str(int(k)).encode("ascii"))
-        ))
+        )
         return list(response.neighbors or ())
 
     # ------------------------------------------------------------- batch
 
     def put_many(self, pairs: Iterable[Tuple[object, object]]) -> List[Response]:
         """Submit many puts before pumping: fills the shard queues so the
-        workers see real micro-batches instead of singletons.
-
-        Distinct-key batches admit through one vectorized routing pass;
-        a batch that writes the same key twice takes the scalar path,
-        because a rejected-then-retried first write must not land after
-        an accepted second write to the same key.
-        """
-        items = [(as_bytes(k), as_bytes(v)) for k, v in pairs]
-        keys = [k for k, _ in items]
-        requests = [Request("put", k, v) for k, v in items]
-        if len(set(keys)) == len(keys):
-            tickets = self._submit_many(requests)
-        else:
-            tickets = [self._submit(request) for request in requests]
-        return self._complete_all(tickets)
+        workers see real micro-batches instead of singletons.  Puts to
+        the same key land in submission order (see :meth:`_admit`)."""
+        return self._call_many(
+            [Request("put", as_bytes(k), as_bytes(v)) for k, v in pairs]
+        )
 
     def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
-        # Reads never conflict with each other, so the vectorized
-        # admission path is safe even with duplicate keys.
-        tickets = self._submit_many(
+        responses = self._call_many(
             [Request("get", as_bytes(k)) for k in keys]
         )
-        return [r.value for r in self._complete_all(tickets)]
+        return [r.value for r in responses]
 
     def contains_many(self, keys: Sequence[object]) -> List[bool]:
-        tickets = self._submit_many(
+        responses = self._call_many(
             [Request("contains", as_bytes(k)) for k in keys]
         )
-        return [bool(r.found) for r in self._complete_all(tickets)]
+        return [bool(r.found) for r in responses]
 
     def similar_many(
         self, keys: Sequence[object], k: int = 10
     ) -> List[List[Tuple[bytes, float]]]:
-        # Read-only, so the vectorized admission path is safe even
-        # with duplicate query keys.
         payload = str(int(k)).encode("ascii")
-        tickets = self._submit_many(
+        responses = self._call_many(
             [Request("similar", as_bytes(key), payload) for key in keys]
         )
-        return [list(r.neighbors or ()) for r in self._complete_all(tickets)]
+        return [list(r.neighbors or ()) for r in responses]
 
     @property
     def lost_acks(self) -> int:
@@ -310,11 +281,11 @@ class NetworkClient:
     The wire protocol resolves responses out of submission order (a
     ticket answers when its *shard* serves it), so the client keys
     every frame by a client-assigned id and :meth:`_collect` stashes
-    whatever else arrives while waiting.  Backpressure statuses are
-    handled the way the in-process client handles rejected tickets —
-    jittered exponential backoff with an explicit-zero hint meaning
-    "retry immediately" — except the wait is wall-clock sleep instead
-    of cooperative pumps, because the server pumps for itself.
+    whatever else arrives while waiting.  Backpressure statuses back
+    off exponentially like the in-process client — an explicit-zero
+    hint means "retry immediately" — except the wait is a jittered
+    wall-clock sleep instead of cooperative pumps: the server pumps for
+    itself, and concurrent connections need de-synchronising.
 
     The ack ledger mirrors :class:`ServiceClient`: ``puts_sent`` counts
     logical puts once at first wire send, ``puts_responded`` counts
@@ -374,7 +345,7 @@ class NetworkClient:
         return self._responses.pop(frame_id)
 
     def _backoff(self, attempt: int, hint: Optional[int]) -> None:
-        # Same falsy-hint policy as ServiceClient._submit: a missing
+        # Same falsy-hint policy as ServiceClient._admit: a missing
         # hint defaults to one pump-interval, an explicit 0 sleeps not
         # at all, and the per-attempt ceiling is capped regardless of
         # how deep the rejecting queue claims to be.

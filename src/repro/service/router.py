@@ -4,7 +4,7 @@ A :class:`ShardRouter` used to *be* the route — one learned-hash engine
 pass, pinned forever.  Since PR 7 it is the observation shell around a
 :class:`~repro.service.routing.RoutingTable` (generation-stamped base
 route + hot-key overlay + split map) and an optional
-:class:`~repro.service.hotkeys.HotKeyTracker`: the facade counts routed
+:class:`~repro.service.hotkeys.HotKeyTracker`: the facade counts admitted
 traffic per shard, checks the paper's relative-balance bound (eq. 11
 plus sampling noise), feeds the tracker, and notifies an armed fault
 plane — while every actual key→shard decision is delegated to the
@@ -122,27 +122,38 @@ class ShardRouter:
         return self.table.generation
 
     def route_batch(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Shard id per key: one compiled engine pass over the batch."""
+        """Shard id per key: one compiled engine pass over the batch.
+
+        Routing has no side effects; traffic is counted by
+        :meth:`observe`, which the service calls for admitted requests
+        only, so a request re-admitted after a rejection counts once.
+        """
         if not keys:
             return np.zeros(0, dtype=np.int64)
-        keys = list(keys)
-        shards = self.table.route_batch(keys)
+        return self.table.route_batch(list(keys))
+
+    def route_one(self, key: bytes) -> int:
+        """Shard id of one key, without the batch pass's fixed cost."""
+        return self.table.route_one(key)
+
+    def observe(self, keys: Sequence[bytes], shards: Sequence[int]) -> None:
+        """Count admitted traffic: balance counters, tracker, fault plane."""
+        if len(keys) == 1:
+            shard = int(shards[0])
+            self.routed[shard] += 1
+            if self.tracker is not None:
+                self.tracker.observe_one(keys[0])
+            if self.fault_plane is not None:
+                self.fault_plane.note_route(shard)
+            return
+        if not keys:
+            return
         counts = np.bincount(shards, minlength=self.num_shards)
         self.routed += counts
         if self.tracker is not None:
             self.tracker.observe(keys)
         if self.fault_plane is not None:
             self.fault_plane.note_routes(counts)
-        return shards
-
-    def route_one(self, key: bytes) -> int:
-        shard = self.table.route_one(key)
-        self.routed[shard] += 1
-        if self.tracker is not None:
-            self.tracker.observe_one(key)
-        if self.fault_plane is not None:
-            self.fault_plane.note_route(shard)
-        return shard
 
     # ----------------------------------------------------- reconfiguration
 

@@ -1,10 +1,10 @@
 """The service front door: admission, routing, pumping, self-healing.
 
-``Service.submit`` routes a request to its shard and either enqueues it
-(bounded queue) or answers synchronously with an explicit backpressure
-rejection carrying ``retry_after`` — the queue never grows without
-limit.  ``pump()`` is the service's heartbeat and runs four steps in a
-fixed order:
+``Service.submit_batch`` routes each request to its shard and either
+enqueues it (bounded queue) or answers synchronously with an explicit
+backpressure rejection carrying ``retry_after`` — the queue never grows
+without limit; ``submit`` is a one-request batch.  ``pump()`` is the
+service's heartbeat and runs four steps in a fixed order:
 
 1. **supervise** — restart crashed workers from their journals, detect
    stalls, and requeue tickets that fell out of the pipeline *before*
@@ -297,91 +297,87 @@ class Service:
     # ------------------------------------------------------------- intake
 
     def submit(self, request: Request) -> Ticket:
-        """Admit one request.  Always returns a ticket; rejections and
-        ``stats`` answer synchronously on it."""
-        ticket = Ticket(
-            request, self._next_request_id,
-            generation=self.router.generation,
-        )
-        self._next_request_id += 1
-        self.submitted += 1
-        if request.op == "stats":
-            self.accepted += 1
-            ticket.response = Response(OK, stats=self.stats())
-            return ticket
-        shard = self.router.route_one(request.key)
-        ticket.shard = shard
-        worker = self.workers[shard]
-        if (self.fault_plane is not None
-                and self.fault_plane.should_fire("queue_loss", shard)):
-            # The slot is lost: the request was admitted (the client
-            # holds an acked ticket) but never lands in the queue.  It
-            # parks in the inflight registry, where the supervisor's
-            # reconciliation pass finds and requeues it — at the front,
-            # since nothing admitted later may overtake it.
-            self.accepted += 1
-            self.lost_slots += 1
-            worker.inflight[ticket.request_id] = ticket
-            return ticket
-        if not worker.try_enqueue(ticket):
-            self.rejected += 1
-            # After this many pumps the queue has fully drained; a retry
-            # then is guaranteed admission (absent new competing load).
-            retry_after = math.ceil(worker.queue_depth / worker.batch_size)
-            ticket.response = Response(
-                REJECTED, shard=shard, retry_after=max(1, retry_after),
-                error="shard queue full",
-            )
-            return ticket
-        self.accepted += 1
-        return ticket
+        """Admit one request: a one-request :meth:`submit_batch`."""
+        return self.submit_batch([request])[0]
 
     def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
-        """Admit many requests with one vectorized routing pass.
+        """Admit requests in order; the service's one admission path.
 
-        Byte-equivalent to ``[self.submit(r) for r in requests]`` —
-        same admission order, same request-id assignment, same
-        queue-loss and backpressure decisions — but the key→shard map
-        is computed by ``route_batch`` (one compiled engine pass) so
-        per-request admission overhead stops being the bottleneck in
-        front of parallel shards.  ``stats`` requests need service-wide
-        state mid-stream, so any batch containing one falls back to the
-        scalar path.
+        Always returns one ticket per request, with request ids in
+        admission order.  A ticket is either queued at its shard, parked
+        by an injected queue loss (admitted, requeued later by the
+        supervisor), or answered synchronously: ``stats`` in place, a
+        full queue with ``REJECTED`` and a ``retry_after`` hint.
+
+        Routing is one vectorized ``route_batch`` pass over the batch's
+        keys; a one-request batch takes ``route_one`` instead, whose
+        fixed cost is an order of magnitude lower.  Only admitted
+        requests are counted as routed traffic (balance counters,
+        hot-key tracker, fault plane), so a request the client
+        re-admits after a rejection is counted once.
+
+        Once a shard rejects a request, it stays closed for the rest of
+        the batch: every later request to it is rejected too, before
+        the queue-loss fault is consulted.  A shard's accepted requests
+        therefore always precede its rejected ones, so a caller that
+        re-admits the rejected remainder in order can never land an
+        earlier write to a key after a later one.  Without faults this
+        is exactly what a loop of one-request batches would decide.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        if any(request.op == "stats" for request in requests):
-            return [self.submit(request) for request in requests]
-        shards = self.router.route_batch([r.key for r in requests])
+        keys = [r.key for r in requests if r.op != "stats"]
+        if len(requests) == 1:
+            shards = iter([self.router.route_one(k) for k in keys])
+        else:
+            shards = iter(self.router.route_batch(keys).tolist())
         plane = self.fault_plane
         generation = self.router.generation
+        closed = set()
+        admitted_keys: List[bytes] = []
+        admitted_shards: List[int] = []
         tickets: List[Ticket] = []
-        for request, shard in zip(requests, shards):
-            shard = int(shard)
+        for request in requests:
             ticket = Ticket(
                 request, self._next_request_id, generation=generation
             )
             self._next_request_id += 1
+            self.submitted += 1
+            tickets.append(ticket)
+            if request.op == "stats":
+                self.accepted += 1
+                ticket.response = Response(OK, stats=self.stats())
+                continue
+            shard = next(shards)
             ticket.shard = shard
             worker = self.workers[shard]
-            if plane is not None and plane.should_fire("queue_loss", shard):
+            if (shard not in closed and plane is not None
+                    and plane.should_fire("queue_loss", shard)):
+                # The slot is lost: the request was admitted (the client
+                # holds an acked ticket) but never lands in the queue.
+                # It parks in the inflight registry, where the
+                # supervisor's reconciliation pass finds and requeues it
+                # in request-id order, so nothing admitted later
+                # overtakes it.
                 self.lost_slots += 1
-                self.accepted += 1
                 worker.inflight[ticket.request_id] = ticket
             elif not worker.try_enqueue(ticket):
+                # A closed shard's queue is still full (nothing drains
+                # mid-batch), so try_enqueue refuses it here as well.
+                closed.add(shard)
                 self.rejected += 1
-                retry_after = math.ceil(
-                    worker.queue_depth / worker.batch_size
-                )
+                # After this many pumps the queue has fully drained; a
+                # retry then is guaranteed admission (absent new
+                # competing load).
+                retry_after = math.ceil(worker.queue_depth / worker.batch_size)
                 ticket.response = Response(
                     REJECTED, shard=shard, retry_after=max(1, retry_after),
                     error="shard queue full",
                 )
-            else:
-                self.accepted += 1
-            tickets.append(ticket)
-        self.submitted += len(requests)
+                continue
+            self.accepted += 1
+            admitted_keys.append(request.key)
+            admitted_shards.append(shard)
+        self.router.observe(admitted_keys, admitted_shards)
         return tickets
 
     # ------------------------------------------------------------ serving

@@ -26,6 +26,8 @@ import pytest
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
 from repro.service import (
+    OK,
+    REJECTED,
     AdapterSpec,
     InlineBackend,
     Request,
@@ -268,25 +270,65 @@ def test_inline_and_process_answer_identically(model, corpus):
     assert outcomes["inline"] == outcomes["process"]
 
 
+def _reference_admission(service, requests):
+    """Expected (shard, status) per request, decided without the
+    service's admission loop: ``route_one`` per key, a per-shard count
+    against ``max_queue``, ``stats`` answered in place, and a shard
+    that rejects stays closed for the rest of the batch."""
+    depth = [worker.queue_depth for worker in service.workers]
+    closed = set()
+    expected = []
+    for request in requests:
+        if request.op == "stats":
+            expected.append((None, OK))
+            continue
+        shard = service.router.table.route_one(request.key)
+        if shard in closed or depth[shard] >= service.workers[shard].max_queue:
+            closed.add(shard)
+            expected.append((shard, REJECTED))
+        else:
+            depth[shard] += 1
+            expected.append((shard, OK))
+    return expected
+
+
 @pytest.mark.parametrize("execution", BOTH_EXECUTIONS)
 def test_submit_batch_matches_scalar_admission(model, execution):
-    # submit_batch is documented byte-equivalent to a scalar submit
-    # loop: same shards, same request ids, same statuses after drain.
-    keys = [b"batch-key-%03d" % i for i in range(60)]
-    scalar = _service(model, execution=execution)
-    batched = _service(model, execution=execution)
-    try:
-        a = [scalar.submit(Request("put", key, b"v")) for key in keys]
-        b = batched.submit_batch([Request("put", key, b"v") for key in keys])
-        assert [t.shard for t in a] == [t.shard for t in b]
-        assert [t.request_id for t in a] == [t.request_id for t in b]
-        scalar.drain()
-        batched.drain()
-        assert ([t.response.status for t in a]
-                == [t.response.status for t in b])
-    finally:
-        scalar.close()
-        batched.close()
+    # Without faults, submit_batch decides exactly what a loop of
+    # one-request submits decides, and both match a reference model of
+    # admission: same shards, consecutive request ids, same statuses
+    # after drain.  Inputs: plain puts, a batch with stats requests
+    # answered in place, a one-request batch (route_one), and a batch
+    # that overflows the 3 x 64-slot queues (rejections).
+    puts = [Request("put", b"batch-key-%03d" % i, b"v") for i in range(60)]
+    inputs = [
+        puts,
+        puts[:20] + [Request("stats")] + puts[20:40] + [Request("stats")],
+        puts[:1],
+        [Request("put", b"overflow-%03d" % i, b"v") for i in range(300)],
+    ]
+    for requests in inputs:
+        scalar = _service(model, execution=execution)
+        batched = _service(model, execution=execution)
+        try:
+            expected = _reference_admission(batched, requests)
+            a = [scalar.submit(request) for request in requests]
+            b = batched.submit_batch(requests)
+            assert [t.shard for t in a] == [t.shard for t in b]
+            assert [t.shard for t in b] == [shard for shard, _ in expected]
+            assert [t.request_id for t in a] == [t.request_id for t in b]
+            first = b[0].request_id
+            assert ([t.request_id for t in b]
+                    == list(range(first, first + len(b))))
+            scalar.drain()
+            batched.drain()
+            statuses = [t.response.status for t in b]
+            assert [t.response.status for t in a] == statuses
+            assert statuses == [status for _, status in expected]
+        finally:
+            scalar.close()
+            batched.close()
+    assert REJECTED in statuses  # overflow engaged
 
 
 # ----------------------------------------------------- shard state block

@@ -7,8 +7,8 @@ import pytest
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.sizing import entropy_for_chaining_table
 from repro.core.trainer import train_model
+from repro.engine.monitor import CollisionMonitor
 from repro.tables.chaining import EntropyAwareTable, SeparateChainingTable
-from repro.tables.monitor import CollisionMonitor
 
 
 @pytest.fixture

@@ -135,8 +135,9 @@ class TestRoutingTable:
 
     def test_install_grows_routed_counters(self, model):
         router = ShardRouter.from_model(model, 2, expected_items=600)
-        router.route_batch(KEYS[:100])
+        router.observe(KEYS[:100], router.route_batch(KEYS[:100]))
         before = router.routed.sum()
+        assert before == 100
         router.install(router.table.with_split(0))
         assert len(router.routed) == 3
         assert router.routed.sum() == before

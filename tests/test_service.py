@@ -186,7 +186,7 @@ class TestService:
         keys = [b"stable%04d" % i for i in range(300)]
         acked = []
         for key in keys:
-            ticket = client._submit(Request(op="put", key=key, value=b"v"))
+            ticket = client._admit([Request(op="put", key=key, value=b"v")])[0]
             client._complete(ticket)
             if ticket.response.status == OK:
                 acked.append(key)
@@ -295,8 +295,15 @@ class TestOverload:
         for i in range(2):
             service.submit(Request(op="put", key=b"fill%d" % i, value=b"v"))
         client = ServiceClient(service, max_retries=3, submit_pump_budget=16)
-        with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"late", value=b"v"))
+        # The message reports this walk's attempts and pumps: backoff
+        # 2, 4 and 8 pumps between the four attempts (hint 2 doubled).
+        with pytest.raises(
+            ServiceOverloadedError,
+            match=r"^1 request\(s\) still rejected after 4 attempt\(s\) "
+                  r"without progress and 14 backoff pump\(s\) "
+                  r"\(shards \[0\]\)$",
+        ):
+            client._admit([Request(op="put", key=b"late", value=b"v")])
         assert client.retries == 4  # max_retries + 1 attempts, all rejected
         # A rejected-then-abandoned put was never accepted: the ack
         # ledger must not count it as lost.
@@ -314,7 +321,7 @@ class TestOverload:
                                submit_pump_budget=32)
         pumps_before = service.pump_index
         with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"late", value=b"v"))
+            client._admit([Request(op="put", key=b"late", value=b"v")])
         # The budget bounds the total pump spend regardless of retries.
         assert service.pump_index - pumps_before <= 32
         assert client.backoff_pumps <= 32
@@ -343,19 +350,20 @@ class TestBackoffRegressions:
 
         service = _service(model, num_shards=1)
         client = ServiceClient(service, max_retries=4)
-        real_submit = service.submit
+        real_submit_batch = service.submit_batch
         rejections = []
 
-        def submit(request):
+        def submit_batch(requests):
             if len(rejections) < 3:
+                (request,) = requests
                 ticket = Ticket(request=request, request_id=-1, shard=0)
                 ticket.response = Response(REJECTED, shard=0, retry_after=0)
                 rejections.append(ticket)
-                return ticket
-            return real_submit(request)
+                return [ticket]
+            return real_submit_batch(requests)
 
-        service.submit = submit
-        ticket = client._submit(Request(op="put", key=b"zh", value=b"v"))
+        service.submit_batch = submit_batch
+        ticket = client._admit([Request(op="put", key=b"zh", value=b"v")])[0]
         assert not ticket.rejected
         assert client.retries == 3
         assert client.backoff_pumps == 0  # zero hint -> zero pumps
@@ -372,14 +380,18 @@ class TestBackoffRegressions:
         client = ServiceClient(service, max_retries=2,
                                submit_pump_budget=100_000)
 
-        def submit(request):
-            ticket = Ticket(request=request, request_id=-1, shard=0)
-            ticket.response = Response(REJECTED, shard=0, retry_after=10_000)
-            return ticket
+        def submit_batch(requests):
+            tickets = []
+            for request in requests:
+                ticket = Ticket(request=request, request_id=-1, shard=0)
+                ticket.response = Response(REJECTED, shard=0,
+                                           retry_after=10_000)
+                tickets.append(ticket)
+            return tickets
 
-        service.submit = submit
+        service.submit_batch = submit_batch
         with pytest.raises(ServiceOverloadedError):
-            client._submit(Request(op="put", key=b"cap", value=b"v"))
+            client._admit([Request(op="put", key=b"cap", value=b"v")])
         assert 0 < client.backoff_pumps <= 3 * BACKOFF_CAP_PUMPS
 
     def test_mixed_batch_reject_counted_once(self, model):
@@ -400,3 +412,78 @@ class TestBackoffRegressions:
         assert client.puts_accepted == 4
         assert client.puts_acked == 4
         assert client.lost_acks == 0
+
+
+class TestBatchAdmission:
+    """One admission path: the client re-admits the rejected remainder
+    as one batch, in order, instead of walking it key by key."""
+
+    def test_duplicate_puts_keep_order_under_queue_loss(self, model):
+        # Four fills leave the one-shard queue full.  The first write to
+        # "dup" is rejected; the armed queue loss would fire on the
+        # second write, admitting it ahead of the first.  A shard that
+        # rejects stays closed for the rest of the batch, so the second
+        # write is rejected too and both re-admit in order.
+        from repro.faults import FaultPlan, FaultPlane
+
+        plane = FaultPlane(FaultPlan.parse(["queue_loss:router:0:after=5"]))
+        service = _service(model, num_shards=1, max_queue=4, batch_size=1,
+                           fault_plane=plane)
+        client = ServiceClient(service)
+        pairs = [(b"fill%d" % i, b"v") for i in range(4)]
+        pairs += [(b"dup", b"first"), (b"dup", b"second")]
+        responses = client.put_many(pairs)
+        assert all(r.ok for r in responses)
+        assert plane.fired["queue_loss"] == {0: 1}
+        assert client.get(b"dup") == b"second"
+        assert client.lost_acks == 0
+
+    def test_batch_far_beyond_retry_cap_completes(self, model):
+        # 400 puts against 4 queue slots need ~100 attempts, far more
+        # than max_retries + 1 = 65.  Every attempt admits something,
+        # so the walk keeps going: the retry bound is for a stalled
+        # service, not for a long batch.
+        service = _service(model, num_shards=1, max_queue=4, batch_size=4)
+        client = ServiceClient(service)
+        pairs = [(b"long%04d" % i, b"v%04d" % i) for i in range(400)]
+        responses = client.put_many(pairs)
+        assert all(r.ok for r in responses)
+        assert client.lost_acks == 0
+        assert client.puts_acked == 400
+        # Progress resets the backoff exponent: each remainder waits
+        # one drain (retry_after = 1 pump), never a doubled one.
+        assert client.backoff_pumps == 99
+        assert client.multi_get([k for k, _ in pairs[::50]]) == [
+            v for _, v in pairs[::50]
+        ]
+
+    def test_saturated_multi_get_keeps_batch_granularity(self, model):
+        # Liveness: a multi_get twice the service-wide queue headroom
+        # (4 shards x 256 slots) completes in a bounded number of pumps
+        # and the shards keep serving near-full micro-batches instead
+        # of collapsing to one key per batch.
+        keys = google_urls(2048, seed=22)
+        service = _service(model, num_shards=4, backend="probing",
+                           capacity=len(keys), max_queue=256,
+                           batch_size=64)
+        client = ServiceClient(service)
+        client.put_many((k, b"v:" + k) for k in keys)
+        assert len(keys) == 2 * 4 * 256
+
+        def served():
+            return (sum(w.processed for w in service.workers),
+                    sum(w.batches for w in service.workers))
+
+        pumps_before = service.pump_index
+        routed_before = int(service.router.routed.sum())
+        keys_before, batches_before = served()
+        values = client.multi_get(keys)
+        keys_after, batches_after = served()
+        assert values == [b"v:" + k for k in keys]
+        # Re-admitted requests count once as routed traffic, so the
+        # balance counters and hot-key tracker see traffic, not retries.
+        assert int(service.router.routed.sum()) - routed_before == len(keys)
+        assert service.pump_index - pumps_before <= 32
+        mean_batch = ((keys_after - keys_before)
+                      / (batches_after - batches_before))
+        assert mean_batch >= 64 / 2
