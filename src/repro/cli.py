@@ -645,11 +645,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         runs = [(name, args.seed, args.cases, args.ops) for name in names]
 
-    # --execution pins the service-layer targets to one execution
-    # backend; structure-only targets have no service to configure.
-    _SERVICE_TARGETS = frozenset(
-        {"service", "chaos", "reshard", "drift", "frontdoor", "similarity"}
-    )
+    # --execution pins the serving targets (those whose config has an
+    # "execution" key) to one execution backend; structure-only targets
+    # have no service to configure.
+    serving = {name for name, cls in TARGETS.items()
+               if "execution" in cls.default_config()}
 
     failed = False
     for name, seed, cases, ops_per_case in runs:
@@ -657,7 +657,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         # substituting for fuzz in tests) stays unchanged.
         kwargs = (
             {"config_overrides": {"execution": args.execution}}
-            if args.execution != "inline" and name in _SERVICE_TARGETS
+            if args.execution != "inline" and name in serving
             else {}
         )
         report = fuzz(name, seed=seed, cases=cases, ops_per_case=ops_per_case,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 Op = Dict[str, object]
@@ -89,104 +89,159 @@ def _batch(op: str, keys: Sequence[bytes], **extra: object) -> Op:
     return out
 
 
+# Every generator below walks one *ladder*: per op, one ``rng.random()``
+# roll picks the first rung whose cumulative bound exceeds it, and the
+# rung draws the op's own randomness.  A rung is a function of the
+# case's :class:`_Stream`; the menu after the class holds the rungs the
+# families share.  The bounds are the literal cumulative thresholds, not
+# summed weights, so float rounding can never move a rung boundary and
+# every seed keeps its op stream.
+
+
+class _Stream:
+    """One case's generator state: the RNG, the key pool, and the
+    counter that numbers written values (``v``)."""
+
+    def __init__(self, rng: random.Random, pool: Sequence[bytes]):
+        self.rng = rng
+        self.pool = pool
+        self.counter = 0
+
+    def key(self) -> bytes:
+        return pick_key(self.rng, self.pool)
+
+    def keys(self, low: int = 1, high: int = 12) -> List[bytes]:
+        return pick_keys(self.rng, self.pool, low, high)
+
+    def ladder(self, n: int, rungs: Sequence[Tuple[float, Rung]]) -> List[Op]:
+        ops: List[Op] = []
+        for _ in range(n):
+            roll = self.rng.random()
+            ops.append(next(rung for bound, rung in rungs if roll < bound)(self))
+        return ops
+
+
+Rung = Callable[[_Stream], Op]
+
+
+def _bare(name: str) -> Rung:
+    return lambda s: {"op": name}
+
+
+def _on_key(name: str) -> Rung:
+    return lambda s: _keyed(name, s.key())
+
+
+def _on_keys(name: str, low: int = 1, high: int = 12) -> Rung:
+    return lambda s: _batch(name, s.keys(low, high))
+
+
+def _on_shard(name: str) -> Rung:
+    return lambda s: {"op": name, "shard": s.rng.randrange(8)}
+
+
+def _put(name: str = "put") -> Rung:
+    def rung(s: _Stream) -> Op:
+        s.counter += 1
+        return _keyed(name, s.key(), v=s.counter)
+    return rung
+
+
+def _burst(low: int, high: int, name: str = "burst") -> Rung:
+    """A run of writes; key ``i`` writes value ``v + i``."""
+    def rung(s: _Stream) -> Op:
+        keys = s.keys(low, high)
+        s.counter += len(keys)
+        return _batch(name, keys, v=s.counter)
+    return rung
+
+
+def _inject(kinds: Sequence[str], max_count: int) -> Rung:
+    """Arm one fault spec on the case's FaultPlane."""
+    return lambda s: {
+        "op": "inject",
+        "kind": s.rng.choice(kinds),
+        "shard": s.rng.randrange(8),
+        "after": s.rng.randrange(4),
+        "count": s.rng.randrange(1, max_count),
+    }
+
+
+_FAULT_KINDS = ("crash", "sigkill", "stall", "drop", "corrupt", "queue_loss")
+
+
 def generate_table_ops(rng: random.Random, n: int) -> List[Op]:
     """insert/get/delete/batch interleavings with fault injections."""
-    pool = make_key_pool(rng)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.30:
-            counter += 1
-            ops.append(_keyed("insert", pick_key(rng, pool), v=counter))
-        elif roll < 0.45:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.60:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.72:
-            keys = pick_keys(rng, pool)
-            counter += len(keys)
-            values = list(range(counter, counter + len(keys)))
-            ops.append(_batch("insert_batch", keys, values=values))
-        elif roll < 0.86:
-            ops.append(_batch("probe_batch", pick_keys(rng, pool, 1, 16)))
-        elif roll < 0.92:
-            ops.append({"op": "check_items"})
-        elif roll < 0.96:
-            ops.append({"op": "clear_plans"})
-        else:
-            ops.append({"op": "fall_back"})
+
+    def insert_batch(s: _Stream) -> Op:
+        keys = s.keys()
+        s.counter += len(keys)
+        values = list(range(s.counter, s.counter + len(keys)))
+        return _batch("insert_batch", keys, values=values)
+
+    s = _Stream(rng, make_key_pool(rng))
+    ops = s.ladder(n, (
+        (0.30, _put("insert")),
+        (0.45, _on_key("get")),
+        (0.60, _on_key("delete")),
+        (0.72, insert_batch),
+        (0.86, _on_keys("probe_batch", 1, 16)),
+        (0.92, _bare("check_items")),
+        (0.96, _bare("clear_plans")),
+        (1.0, _bare("fall_back")),
+    ))
     ops.append({"op": "check_items"})
     return ops
 
 
 def generate_filter_ops(rng: random.Random, n: int, removes: bool) -> List[Op]:
     """add/contains/batch (and remove, for deletable filters)."""
-    pool = make_key_pool(rng, size=60)
-    ops: List[Op] = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.30:
-            ops.append(_keyed("add", pick_key(rng, pool)))
-        elif roll < 0.45:
-            ops.append(_batch("add_batch", pick_keys(rng, pool)))
-        elif roll < 0.62:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.74:
-            ops.append(_batch("contains_batch", pick_keys(rng, pool, 1, 16)))
-        elif roll < 0.92 and removes:
-            ops.append(_keyed("remove", pick_key(rng, pool)))
-        elif roll < 0.96:
-            ops.append({"op": "check_members"})
-        else:
-            ops.append({"op": "clear_plans"})
+    s = _Stream(rng, make_key_pool(rng, size=60))
+    rungs = [
+        (0.30, _on_key("add")),
+        (0.45, _on_keys("add_batch")),
+        (0.62, _on_key("contains")),
+        (0.74, _on_keys("contains_batch", 1, 16)),
+    ]
+    if removes:
+        rungs.append((0.92, _on_key("remove")))
+    rungs += [(0.96, _bare("check_members")), (1.0, _bare("clear_plans"))]
+    ops = s.ladder(n, rungs)
     ops.append({"op": "check_members"})
     return ops
 
 
 def generate_sketch_ops(rng: random.Random, n: int) -> List[Op]:
     """add/add_batch/estimate checks for frequency/cardinality sketches."""
-    pool = make_key_pool(rng, size=120)
-    ops: List[Op] = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.35:
-            ops.append(_keyed("add", pick_key(rng, pool)))
-        elif roll < 0.70:
-            ops.append(_batch("add_batch", pick_keys(rng, pool, 1, 24)))
-        elif roll < 0.90:
-            ops.append(_keyed("estimate", pick_key(rng, pool)))
-        else:
-            ops.append({"op": "check_state"})
+    s = _Stream(rng, make_key_pool(rng, size=120))
+    ops = s.ladder(n, (
+        (0.35, _on_key("add")),
+        (0.70, _on_keys("add_batch", 1, 24)),
+        (0.90, _on_key("estimate")),
+        (1.0, _bare("check_state")),
+    ))
     ops.append({"op": "check_state"})
     return ops
 
 
 def generate_store_ops(rng: random.Random, n: int) -> List[Op]:
     """put/get/delete/multi_get/scan with flush/compact interleavings."""
-    pool = make_key_pool(rng, size=72)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.32:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.48:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.60:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.72:
-            ops.append(_batch("multi_get", pick_keys(rng, pool, 1, 16)))
-        elif roll < 0.80:
-            lo, hi = sorted((pick_key(rng, pool), pick_key(rng, pool)))
-            ops.append({"op": "scan", "start": encode_key(lo), "end": encode_key(hi)})
-        elif roll < 0.88:
-            ops.append({"op": "flush"})
-        elif roll < 0.94:
-            ops.append({"op": "compact"})
-        else:
-            ops.append({"op": "check_items"})
+
+    def scan(s: _Stream) -> Op:
+        lo, hi = sorted((s.key(), s.key()))
+        return {"op": "scan", "start": encode_key(lo), "end": encode_key(hi)}
+
+    s = _Stream(rng, make_key_pool(rng, size=72))
+    ops = s.ladder(n, (
+        (0.32, _put()),
+        (0.48, _on_key("get")),
+        (0.60, _on_key("delete")),
+        (0.72, _on_keys("multi_get", 1, 16)),
+        (0.80, scan),
+        (0.88, _bare("flush")),
+        (0.94, _bare("compact")),
+        (1.0, _bare("check_items")),
+    ))
     ops.append({"op": "check_items"})
     return ops
 
@@ -203,32 +258,18 @@ def generate_service_ops(rng: random.Random, n: int) -> List[Op]:
     against the oracle at admission time — same key, same shard, FIFO
     queue, so per-key order is linearizable.
     """
-    pool = make_key_pool(rng, size=72)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.42:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.64:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.76:
-            keys = pick_keys(rng, pool, 2, 12)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.88:
-            ops.append({"op": "pump"})
-        elif roll < 0.92:
-            ops.append({"op": "drain"})
-        elif roll < 0.96:
-            ops.append({"op": "stats"})
-        else:
-            ops.append({"op": "force_trip", "shard": rng.randrange(8)})
+    s = _Stream(rng, make_key_pool(rng, size=72))
+    ops = s.ladder(n, (
+        (0.24, _put()),
+        (0.42, _on_key("get")),
+        (0.52, _on_key("delete")),
+        (0.64, _on_key("contains")),
+        (0.76, _burst(2, 12)),
+        (0.88, _bare("pump")),
+        (0.92, _bare("drain")),
+        (0.96, _bare("stats")),
+        (1.0, _on_shard("force_trip")),
+    ))
     ops.append({"op": "drain"})
     return ops
 
@@ -246,45 +287,20 @@ def generate_chaos_ops(rng: random.Random, n: int) -> List[Op]:
     within the case, otherwise termination assertions would be testing
     the fault schedule rather than the healing machinery.
     """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.26:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.40:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.48:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.56:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.66:
-            keys = pick_keys(rng, pool, 2, 10)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.78:
-            ops.append({"op": "pump"})
-        elif roll < 0.82:
-            ops.append({"op": "drain"})
-        elif roll < 0.86:
-            ops.append({"op": "stats"})
-        elif roll < 0.94:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "sigkill", "stall", "drop", "corrupt",
-                     "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 4),
-            })
-        else:
-            ops.append({"op": "settle"})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
+    s = _Stream(rng, make_key_pool(rng, size=48))
+    ops = s.ladder(n, (
+        (0.26, _put()),
+        (0.40, _on_key("get")),
+        (0.48, _on_key("delete")),
+        (0.56, _on_key("contains")),
+        (0.66, _burst(2, 10)),
+        (0.78, _bare("pump")),
+        (0.82, _bare("drain")),
+        (0.86, _bare("stats")),
+        (0.94, _inject(_FAULT_KINDS, 4)),
+        (1.0, _bare("settle")),
+    ))
+    ops += [{"op": "settle"}, {"op": "drain"}]
     return ops
 
 
@@ -300,49 +316,23 @@ def generate_reshard_ops(rng: random.Random, n: int) -> List[Op]:
     tickets re-routed through the new table — all without the oracle
     (admission-time, per-key FIFO) noticing anything at all.
     """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.38:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.46:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.54:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.62:
-            keys = pick_keys(rng, pool, 2, 10)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.72:
-            ops.append({"op": "pump"})
-        elif roll < 0.76:
-            ops.append({"op": "drain"})
-        elif roll < 0.80:
-            ops.append({"op": "stats"})
-        elif roll < 0.87:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "sigkill", "stall", "drop", "corrupt",
-                     "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 4),
-            })
-        elif roll < 0.93:
-            ops.append({"op": "split", "shard": rng.randrange(8)})
-        else:
-            ops.append({"op": "settle"})
+    s = _Stream(rng, make_key_pool(rng, size=48))
+    split = _on_shard("split")
+    ops = s.ladder(n, (
+        (0.24, _put()),
+        (0.38, _on_key("get")),
+        (0.46, _on_key("delete")),
+        (0.54, _on_key("contains")),
+        (0.62, _burst(2, 10)),
+        (0.72, _bare("pump")),
+        (0.76, _bare("drain")),
+        (0.80, _bare("stats")),
+        (0.87, _inject(_FAULT_KINDS, 4)),
+        (0.93, split),
+        (1.0, _bare("settle")),
+    ))
     # At least one split per case: the target exists to cross a flip.
-    ops.append({"op": "split", "shard": rng.randrange(8)})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
+    ops += [split(s), {"op": "settle"}, {"op": "drain"}]
     return ops
 
 
@@ -381,62 +371,36 @@ def generate_drift_ops(rng: random.Random, n: int) -> List[Op]:
     keyed tail and ``relearn_settle`` windows, so the detector's window
     fills and the swap path runs in every case, not just lucky ones.
     """
-    pool = make_drift_key_pool()
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.26:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.40:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.46:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.62:
-            keys = pick_keys(rng, pool, 2, 10)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.74:
-            ops.append({"op": "pump"})
-        elif roll < 0.78:
-            ops.append({"op": "drain"})
-        elif roll < 0.82:
-            ops.append({"op": "stats"})
-        elif roll < 0.88:
-            ops.append({
-                "op": "inject",
-                "kind": rng.choice(
-                    ("crash", "stall", "drop", "corrupt", "queue_loss")
-                ),
-                "shard": rng.randrange(8),
-                "after": rng.randrange(4),
-                "count": rng.randrange(1, 3),
-            })
-        elif roll < 0.92:
-            ops.append({
-                "op": "inject",
-                "kind": "drift",
-                "shard": rng.randrange(8),
-                "after": rng.randrange(3),
-                "count": 1,
-            })
-        else:
-            ops.append({"op": "settle"})
+
+    def drift(s: _Stream) -> Op:
+        return {"op": "inject", "kind": "drift", "shard": s.rng.randrange(8),
+                "after": s.rng.randrange(3), "count": 1}
+
+    s = _Stream(rng, make_drift_key_pool())
+    put = _put()
+    ops = s.ladder(n, (
+        (0.26, put),
+        (0.40, _on_key("get")),
+        (0.46, _on_key("delete")),
+        (0.52, _on_key("contains")),
+        (0.62, _burst(2, 10)),
+        (0.74, _bare("pump")),
+        (0.78, _bare("drain")),
+        (0.82, _bare("stats")),
+        (0.88, _inject(("crash", "stall", "drop", "corrupt", "queue_loss"), 3)),
+        (0.92, drift),
+        (1.0, _bare("settle")),
+    ))
     # Every case crosses at least one drift + swap window: inject the
     # drift, then stream enough keyed traffic (with pump interleave) to
     # fill the detector window and trip it, then settle through the
     # re-learn decision and drain.
     ops.append({"op": "inject", "kind": "drift", "shard": 0, "count": 1})
     for i in range(48):
-        counter += 1
-        ops.append(_keyed("put", pick_key(rng, pool), v=counter))
+        ops.append(put(s))
         if i % 4 == 3:
             ops.append({"op": "pump"})
-    ops.append({"op": "settle"})
-    ops.append({"op": "drain"})
+    ops += [{"op": "settle"}, {"op": "drain"}]
     return ops
 
 
@@ -452,39 +416,27 @@ def generate_frontdoor_ops(rng: random.Random, n: int) -> List[Op]:
     burst against the routing flip — the exact window the server-side
     WRONG_GENERATION resubmit has to make invisible.
     """
-    pool = make_key_pool(rng, size=48)
-    ops: List[Op] = []
-    counter = 0
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.24:
-            counter += 1
-            ops.append(_keyed("put", pick_key(rng, pool), v=counter))
-        elif roll < 0.42:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.52:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.62:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.74:
-            keys = pick_keys(rng, pool, 2, 12)
-            counter += len(keys)
-            ops.append(_batch("burst", keys, v=counter))
-        elif roll < 0.86:
-            ops.append(_batch("multi_get", pick_keys(rng, pool, 2, 12)))
-        elif roll < 0.93:
-            ops.append({"op": "stats"})
-        else:
-            keys = pick_keys(rng, pool, 3, 10)
-            counter += len(keys)
-            ops.append(_batch("split", keys, v=counter,
-                              shard=rng.randrange(8)))
+    split_payload = _burst(3, 10, "split")
+
+    def split(s: _Stream) -> Op:
+        op = split_payload(s)
+        op["shard"] = s.rng.randrange(8)
+        return op
+
+    s = _Stream(rng, make_key_pool(rng, size=48))
+    ops = s.ladder(n, (
+        (0.24, _put()),
+        (0.42, _on_key("get")),
+        (0.52, _on_key("delete")),
+        (0.62, _on_key("contains")),
+        (0.74, _burst(2, 12)),
+        (0.86, _on_keys("multi_get", 2, 12)),
+        (0.93, _bare("stats")),
+        (1.0, split),
+    ))
     # At least one racing split per case: crossing a generation flip
     # through the socket is the coverage this target exists for.
-    keys = pick_keys(rng, pool, 3, 10)
-    counter += len(keys)
-    ops.append(_batch("split", keys, v=counter, shard=rng.randrange(8)))
-    ops.append(_batch("multi_get", pool[:16]))
+    ops += [split(s), _batch("multi_get", s.pool[:16])]
     return ops
 
 
@@ -500,58 +452,48 @@ def generate_similarity_ops(rng: random.Random, n: int) -> List[Op]:
     live key exercises the re-signature (overwrite) path and ``delete``
     the bucket-removal path.
     """
-    pool = make_key_pool(rng, size=48)
     vocab = [b"alpha", b"bravo", b"charlie", b"delta", b"echo", b"fox",
              b"golf", b"hotel", b"india", b"juliet", b"kilo", b"lima"]
 
-    def make_doc() -> bytes:
-        words = [vocab[rng.randrange(len(vocab))]
-                 for _ in range(rng.randrange(3, 9))]
-        return b" ".join(words)
+    def put(s: _Stream) -> Op:
+        key = s.key()
+        words = [vocab[s.rng.randrange(len(vocab))]
+                 for _ in range(s.rng.randrange(3, 9))]
+        return _keyed("put", key, doc=b" ".join(words).hex())
 
-    ops: List[Op] = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.30:
-            ops.append(_keyed("put", pick_key(rng, pool),
-                              doc=make_doc().hex()))
-        elif roll < 0.48:
-            ops.append(_keyed("similar", pick_key(rng, pool),
-                              k=rng.randrange(0, 6)))
-        elif roll < 0.60:
-            ops.append(_keyed("get", pick_key(rng, pool)))
-        elif roll < 0.70:
-            ops.append(_keyed("delete", pick_key(rng, pool)))
-        elif roll < 0.80:
-            ops.append(_keyed("contains", pick_key(rng, pool)))
-        elif roll < 0.90:
-            ops.append({"op": "pump"})
-        elif roll < 0.96:
-            ops.append({"op": "drain"})
-        else:
-            ops.append({"op": "stats"})
+    def similar(s: _Stream) -> Op:
+        return _keyed("similar", s.key(), k=s.rng.randrange(0, 6))
+
+    s = _Stream(rng, make_key_pool(rng, size=48))
+    ops = s.ladder(n, (
+        (0.30, put),
+        (0.48, similar),
+        (0.60, _on_key("get")),
+        (0.70, _on_key("delete")),
+        (0.80, _on_key("contains")),
+        (0.90, _bare("pump")),
+        (0.96, _bare("drain")),
+        (1.0, _bare("stats")),
+    ))
     ops.append({"op": "drain"})
     return ops
 
 
 def generate_engine_ops(rng: random.Random, n: int) -> List[Op]:
     """hash_batch/hash_one parity under plan churn and forced fallback."""
-    pool = make_key_pool(rng)
-    ops: List[Op] = []
-    for _ in range(n):
-        roll = rng.random()
-        if roll < 0.45:
-            seed = rng.randrange(4) if rng.random() < 0.3 else None
-            ops.append(_batch("hash_batch", pick_keys(rng, pool, 1, 24), seed=seed))
-        elif roll < 0.70:
-            ops.append(_keyed("hash_one", pick_key(rng, pool)))
-        elif roll < 0.85:
-            ops.append({"op": "clear_plans"})
-        elif roll < 0.95:
-            ops.append({"op": "monitor_fall_back"})
-        else:
-            ops.append({"op": "check_stats"})
-    return ops
+
+    def hash_batch(s: _Stream) -> Op:
+        seed = s.rng.randrange(4) if s.rng.random() < 0.3 else None
+        return _batch("hash_batch", s.keys(1, 24), seed=seed)
+
+    s = _Stream(rng, make_key_pool(rng))
+    return s.ladder(n, (
+        (0.45, hash_batch),
+        (0.70, _on_key("hash_one")),
+        (0.85, _bare("clear_plans")),
+        (0.95, _bare("monitor_fall_back")),
+        (1.0, _bare("check_stats")),
+    ))
 
 
 def generate_reducer_ops(rng: random.Random, n: int) -> List[Op]:
@@ -595,7 +537,9 @@ def generate_minhash_ops(rng: random.Random, n: int) -> List[Op]:
     pool = make_key_pool(rng, size=60)
     ops: List[Op] = []
     for _ in range(max(2, n // 12)):  # each op hashes k x items: keep few
-        items = list({pick_key(rng, pool) for _ in range(rng.randrange(2, 14))})
+        items = list(dict.fromkeys(
+            pick_key(rng, pool) for _ in range(rng.randrange(2, 14))
+        ))
         if not items:
             items = [b"solo"]
         ops.append(_batch("signature", items, k=rng.choice((4, 8, 16))))

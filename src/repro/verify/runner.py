@@ -17,6 +17,7 @@ files under ``tests/repros/`` are).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -75,10 +76,13 @@ def run_ops(
 ) -> Optional[Failure]:
     """Run one op sequence; return the Failure at first divergence/crash."""
     target = _build(target_name, config)
+    # One step per op, then the final check (reported at index len(ops)).
+    steps = [functools.partial(target.apply, op) for op in ops]
+    steps.append(target.final_check)
     try:
-        for i, op in enumerate(ops):
+        for i, step in enumerate(steps):
             try:
-                target.apply(op)
+                step()
             except ExhaustedCase:
                 return None  # documented structural limit, not a failure
             except Divergence as exc:
@@ -87,17 +91,6 @@ def run_ops(
                 return Failure(
                     target_name, config, ops, i, f"{type(exc).__name__}: {exc}"
                 )
-        try:
-            target.final_check()
-        except ExhaustedCase:
-            return None
-        except Divergence as exc:
-            return Failure(target_name, config, ops, len(ops), str(exc))
-        except Exception as exc:
-            return Failure(
-                target_name, config, ops, len(ops),
-                f"{type(exc).__name__}: {exc}",
-            )
         return None
     finally:
         # Targets with external resources (shard processes, shared

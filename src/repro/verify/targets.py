@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 from typing import Dict, List, Optional, Type
 
 import numpy as np
@@ -1070,6 +1071,24 @@ class ReducerTarget(Target):
 # ------------------------------------------------------------ service
 
 
+def _written(op: Op) -> List[tuple]:
+    """The (key, value) writes of a put op, or of a burst-shaped op
+    whose key ``i`` gets value ``v + i``."""
+    base = int(op["v"])
+    encoded = op["keys"] if "keys" in op else [op["key"]]
+    return [(decode_key(key), b"v%d" % (base + i))
+            for i, key in enumerate(encoded)]
+
+
+def _check_ledger(stats: Dict[str, object]) -> None:
+    """Every submitted request was either accepted or rejected."""
+    _require(
+        stats["submitted"] == stats["accepted"] + stats["rejected"],
+        f"admission ledger broke: {stats['submitted']} != "
+        f"{stats['accepted']} + {stats['rejected']}",
+    )
+
+
 class ServiceTarget(Target):
     """Sharded service vs one flat dict oracle.
 
@@ -1082,10 +1101,18 @@ class ServiceTarget(Target):
     anyway, later reads diverge).  ``force_trip`` mid-stream checks
     that a per-shard full-key fallback (and the breaker-driven heal
     that follows) loses no acknowledged write, and ``drain`` at the
-    end checks that every admitted op got exactly one response.
+    end checks that every admitted op got exactly one response.  Every
+    ``drain`` is also held to the liveness floor (see :meth:`_drain`).
+
+    The other serving targets subclass it and extend its Service
+    construction (:meth:`_service_kwargs`) and its op dispatch
+    (:meth:`_dispatch`).
     """
 
     name = "service"
+    # Fault windows legitimately hold batches back, so only the
+    # fault-free serving targets keep the liveness floor on.
+    liveness_floor = True
 
     @classmethod
     def default_config(cls) -> Dict[str, object]:
@@ -1120,27 +1147,32 @@ class ServiceTarget(Target):
         return opslib.generate_service_ops(rng, n)
 
     def __init__(self, config: Dict[str, object]):
-        super().__init__(config)
-        self.backend = str(config.get("backend", "chaining"))
-        self.max_queue = int(config.get("max_queue", 8))
-        self.execution = str(config.get("execution", "inline"))
-        self.service = self._build_service(config)
+        from repro.service import Service
+
+        # A key the case config leaves out takes the target's default.
+        super().__init__({**self.default_config(), **config})
+        self.backend = str(self.config["backend"])
+        self.max_queue = int(self.config["max_queue"])
+        self.batch_size = int(self.config["batch_size"])
+        self.execution = str(self.config["execution"])
+        self.service = Service(**self._service_kwargs(self.config))
         self.oracle = DictOracle()
         # (ticket, kind, expected-at-admission) for in-flight requests.
         self.pending: List[tuple] = []
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-        )
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        """The case's ``Service(...)`` arguments; subclasses extend."""
+        kwargs: Dict[str, object] = {
+            "num_shards": int(config["shards"]),
+            "backend": self.backend,
+            "capacity": int(config["capacity"]),
+            "max_queue": self.max_queue,
+            "batch_size": self.batch_size,
+            "execution": self.execution,
+        }
+        if "hasher" in config:  # drift cases pass a trained model
+            kwargs["hasher"] = build_hasher(config["hasher"])
+        return kwargs
 
     def teardown(self) -> None:
         service = getattr(self, "service", None)
@@ -1162,6 +1194,45 @@ class ServiceTarget(Target):
             )
             return None
         return ticket
+
+    def _admit(self, request, kind: str, expect) -> None:
+        """Submit ``request`` and, once admitted, track it with the
+        oracle's answer: ``expect()`` runs only on admission, because a
+        rejected op must never touch the oracle."""
+        ticket = self._submit(request)
+        if ticket is not None:
+            self.pending.append((ticket, kind, expect()))
+
+    def _read_back(self, request, what: str):
+        """Submit until admitted, pumping between refusals, then drain:
+        the final checks' answered ticket."""
+        ticket = None
+        for _ in range(self.max_queue + 2):
+            ticket = self._submit(request)
+            if ticket is not None:
+                break
+            self.service.pump()
+        _require(ticket is not None, f"{what} starved by backpressure")
+        self.service.drain()
+        return ticket
+
+    def _drain(self) -> None:
+        """Drain; with the liveness floor on, a backlog of B tickets on
+        the fullest shard must drain within ceil(B / batch_size) pumps,
+        so shards never collapse to short (e.g. 1-key) batches."""
+        backlog = max(
+            worker.queue_depth + worker.inflight_unanswered
+            for worker in self.service.workers
+        )
+        start = self.service.pump_index
+        self.service.drain()
+        pumps = self.service.pump_index - start
+        floor = -(-backlog // self.batch_size)
+        _require(
+            not self.liveness_floor or pumps <= floor,
+            f"drain took {pumps} pump(s) for a backlog of {backlog} at "
+            f"batch_size {self.batch_size}: past the liveness floor {floor}",
+        )
 
     def _verify(self, ticket, kind: str, expected) -> None:
         response = ticket.response
@@ -1199,46 +1270,34 @@ class ServiceTarget(Target):
     # -------------------------------------------------------------- apply
 
     def apply(self, op: Op) -> None:
+        self._dispatch(op)
+        self._collect()
+        bound = self._queue_bound()
+        for worker in self.service.workers:
+            _require(
+                worker.queue_depth <= bound,
+                f"shard {worker.shard_id} queue grew to "
+                f"{worker.queue_depth} past the bound {bound}",
+            )
+
+    def _dispatch(self, op: Op) -> None:
         from repro.service import Request
 
         name = op["op"]
-        if name == "put":
-            key, value = decode_key(op["key"]), b"v%d" % int(op["v"])
-            ticket = self._submit(Request("put", key, value))
-            if ticket is not None:
-                self.oracle.insert(key, value)
-                self.pending.append((ticket, "put", None))
-        elif name == "burst":
-            # Back-to-back puts with no pumping: overflows tiny queues.
-            base = int(op["v"])
-            for i, encoded in enumerate(op["keys"]):
-                key = decode_key(encoded)
-                value = b"v%d" % (base + i)
-                ticket = self._submit(Request("put", key, value))
-                if ticket is not None:
-                    self.oracle.insert(key, value)
-                    self.pending.append((ticket, "put", None))
-        elif name == "get":
+        if name in ("put", "burst"):
+            # A burst is back-to-back puts with no pumping in between:
+            # it overflows tiny queues.
+            for key, value in _written(op):
+                self._admit(Request("put", key, value), "put",
+                            partial(self.oracle.insert, key, value))
+        elif name in ("get", "contains", "delete"):
             key = decode_key(op["key"])
-            ticket = self._submit(Request("get", key))
-            if ticket is not None:
-                self.pending.append((ticket, "get", self.oracle.get(key)))
-        elif name == "contains":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("contains", key))
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "contains", self.oracle.contains(key))
-                )
-        elif name == "delete":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("delete", key))
-            if ticket is not None:
-                self.pending.append((ticket, "delete", self.oracle.delete(key)))
+            self._admit(Request(name, key), name,
+                        partial(getattr(self.oracle, name), key))
         elif name == "pump":
             self.service.pump()
         elif name == "drain":
-            self.service.drain()
+            self._drain()
         elif name == "force_trip":
             self.service.force_trip(int(op["shard"]) % self.service.num_shards)
         elif name == "stats":
@@ -1248,21 +1307,9 @@ class ServiceTarget(Target):
             _require(ticket.done, "stats must answer synchronously")
             stats = ticket.response.stats
             json.dumps(stats)  # the protocol promises JSON-safe stats
-            _require(
-                stats["submitted"] == stats["accepted"] + stats["rejected"],
-                f"admission ledger broke: {stats['submitted']} != "
-                f"{stats['accepted']} + {stats['rejected']}",
-            )
+            _check_ledger(stats)
         else:
             raise ValueError(f"unknown service op {name!r}")
-        self._collect()
-        bound = self._queue_bound()
-        for worker in self.service.workers:
-            _require(
-                worker.queue_depth <= bound,
-                f"shard {worker.shard_id} queue grew to "
-                f"{worker.queue_depth} past the bound {bound}",
-            )
 
     def final_check(self) -> None:
         from repro.service import Request
@@ -1291,14 +1338,7 @@ class ServiceTarget(Target):
         # Every acknowledged write must still be readable (including
         # across a mid-stream degrade/rebuild).
         for key, want in self.oracle.items():
-            ticket = None
-            for _ in range(self.max_queue + 2):
-                ticket = self._submit(Request("get", key))
-                if ticket is not None:
-                    break
-                self.service.pump()
-            _require(ticket is not None, "final read-back starved by backpressure")
-            self.service.drain()
+            ticket = self._read_back(Request("get", key), "final read-back")
             self._verify(ticket, "get", want)
 
 
@@ -1323,6 +1363,7 @@ class ChaosTarget(ServiceTarget):
     """
 
     name = "chaos"
+    liveness_floor = False
 
     @classmethod
     def default_config(cls) -> Dict[str, object]:
@@ -1356,39 +1397,32 @@ class ChaosTarget(ServiceTarget):
     def __init__(self, config: Dict[str, object]):
         from repro.faults import FaultPlan, FaultPlane
 
-        # The plane must exist before ServiceTarget.__init__ calls
-        # _build_service below.
+        # The plane must exist before ServiceTarget.__init__ builds the
+        # service around it.
         self.plane = FaultPlane(
             FaultPlan([]), seed=int(config.get("fault_seed", 0))
         )
         super().__init__(config)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        self.cooldown = int(config["cooldown"])
+        self.probe = int(config["probe"])
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
             fault_plane=self.plane,
             cooldown_pumps=self.cooldown,
             probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
+            stall_threshold=int(config["stall_threshold"]),
+            journal_checkpoint=int(config["journal_checkpoint"]),
         )
+        return kwargs
 
     def _queue_bound(self) -> int:
         # Recovery requeues bypass admission control on purpose (the
         # tickets were already admitted): between two reconciles a shard
         # can hold a full queue plus one reconciled batch plus a few
         # queue_loss singles.
-        return self.max_queue + int(self.config.get("batch_size", 4)) + 16
+        return self.max_queue + self.batch_size + 16
 
     def _settle(self) -> None:
         """Pump through a full heal window: enough for the supervisor to
@@ -1494,28 +1528,14 @@ class ReshardTarget(ChaosTarget):
     def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
         return opslib.generate_reshard_ops(rng, n)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
-        self.max_splits = int(config.get("max_splits", 3))
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-            fault_plane=self.plane,
-            cooldown_pumps=self.cooldown,
-            probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
-            hot_k=int(config.get("hot_k", 4)),
-            adapt_every=int(config.get("adapt_every", 4)),
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        self.max_splits = int(config["max_splits"])
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
+            hot_k=int(config["hot_k"]),
+            adapt_every=int(config["adapt_every"]),
         )
+        return kwargs
 
     def _queue_bound(self) -> int:
         # A flip sweep may concentrate several shards' requeued tickets
@@ -1625,43 +1645,31 @@ class DriftTarget(ChaosTarget):
     def generate_ops(cls, rng: random.Random, n: int) -> List[Op]:
         return opslib.generate_drift_ops(rng, n)
 
-    def _build_service(self, config: Dict[str, object]):
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
         from repro.core.trainer import train_model
-        from repro.service import Service
 
-        self.cooldown = int(config.get("cooldown", 6))
-        self.probe = int(config.get("probe", 3))
-        # The model is a pure function of config: the same fixed pool
-        # plus the recorded seed retrains bit-identically on replay.
-        model = train_model(
-            opslib.make_drift_key_pool(),
-            seed=int(config.get("model_seed", 0)),
-        )
         # Rewrite layers latched by fired drift specs; each layer is the
         # (positions, word_size) of the plan deployed at fire time.
         self.drift_layers: List[tuple] = []
-        return Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            model=model,
-            capacity=int(config.get("capacity", 48)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-            fault_plane=self.plane,
-            cooldown_pumps=self.cooldown,
-            probe_pumps=self.probe,
-            stall_threshold=int(config.get("stall_threshold", 3)),
-            journal_checkpoint=int(config.get("journal_checkpoint", 32)),
-            adapt_every=int(config.get("adapt_every", 2)),
+        kwargs = super()._service_kwargs(config)
+        kwargs.update(
+            # The model is a pure function of config: the same fixed
+            # pool plus the recorded seed retrains bit-identically on
+            # replay.
+            model=train_model(
+                opslib.make_drift_key_pool(),
+                seed=int(config["model_seed"]),
+            ),
+            adapt_every=int(config["adapt_every"]),
             relearn=True,
-            drift_window=int(config.get("drift_window", 24)),
-            drift_margin=float(config.get("drift_margin", 1.0)),
-            drift_patience=int(config.get("drift_patience", 2)),
-            drift_reservoir=int(config.get("drift_reservoir", 96)),
-            min_dwell=int(config.get("min_dwell", 4)),
-            min_sample=int(config.get("min_sample", 16)),
+            drift_window=int(config["drift_window"]),
+            drift_margin=float(config["drift_margin"]),
+            drift_patience=int(config["drift_patience"]),
+            drift_reservoir=int(config["drift_reservoir"]),
+            min_dwell=int(config["min_dwell"]),
+            min_sample=int(config["min_sample"]),
         )
+        return kwargs
 
     # ------------------------------------------------------ drift rewrite
 
@@ -1681,32 +1689,26 @@ class DriftTarget(ChaosTarget):
             return  # full-key serving: nothing to drift away from
         self.drift_layers.append((list(plan.positions), plan.word_size))
 
-    def _rewrite(self, key: bytes) -> bytes:
+    def _rewrite(self, encoded: str) -> str:
         from repro.drift.keys import drift_key
 
+        key = decode_key(encoded)
         for positions, word_size in self.drift_layers:
             key = drift_key(key, positions, word_size=word_size)
-        return key
+        return opslib.encode_key(key)
 
-    _KEYED_OPS = frozenset({"put", "get", "delete", "contains"})
+    _KEYED_OPS = frozenset({"put", "get", "delete", "contains", "burst"})
 
     def apply(self, op: Op) -> None:
         name = op["op"]
-        if name in self._KEYED_OPS or name == "burst":
+        if name in self._KEYED_OPS:
             self._pump_drift_opportunities()
             if self.drift_layers:
                 op = dict(op)
                 if name == "burst":
-                    op["keys"] = [
-                        opslib.encode_key(
-                            self._rewrite(opslib.decode_key(k))
-                        )
-                        for k in op["keys"]
-                    ]
+                    op["keys"] = [self._rewrite(k) for k in op["keys"]]
                 else:
-                    op["key"] = opslib.encode_key(
-                        self._rewrite(opslib.decode_key(op["key"]))
-                    )
+                    op["key"] = self._rewrite(op["key"])
         super().apply(op)
 
     def final_check(self) -> None:
@@ -1739,7 +1741,7 @@ class DriftTarget(ChaosTarget):
             )
 
 
-class FrontDoorTarget(Target):
+class FrontDoorTarget(ServiceTarget):
     """The service through a real TCP socket vs the flat dict oracle.
 
     The subject here is the *whole serving boundary*: frames encoded by
@@ -1760,16 +1762,9 @@ class FrontDoorTarget(Target):
 
     @classmethod
     def default_config(cls) -> Dict[str, object]:
-        return {
-            "hasher": {"positions": [0, 4], "word_size": 2},
-            "shards": 3,
-            "backend": "chaining",
-            "capacity": 16,
-            "max_queue": 8,
-            "batch_size": 4,
-            "execution": "inline",
-            "max_splits": 2,
-        }
+        config = dict(ServiceTarget.default_config())
+        config["max_splits"] = 2
+        return config
 
     @classmethod
     def random_config(cls, rng: random.Random) -> Dict[str, object]:
@@ -1791,23 +1786,12 @@ class FrontDoorTarget(Target):
         return opslib.generate_frontdoor_ops(rng, n)
 
     def __init__(self, config: Dict[str, object]):
-        super().__init__(config)
-        from repro.service import FrontDoorThread, NetworkClient, Service
+        from repro.service import FrontDoorThread, NetworkClient
 
-        self.backend = str(config.get("backend", "chaining"))
-        self.max_splits = int(config.get("max_splits", 2))
-        self.service = Service(
-            num_shards=int(config.get("shards", 3)),
-            backend=self.backend,
-            hasher=build_hasher(config["hasher"]),
-            capacity=int(config.get("capacity", 16)),
-            max_queue=int(config.get("max_queue", 8)),
-            batch_size=int(config.get("batch_size", 4)),
-            execution=str(config.get("execution", "inline")),
-        )
+        super().__init__(config)
+        self.max_splits = int(self.config["max_splits"])
         self.door = FrontDoorThread(self.service).start()
         self.client = NetworkClient("127.0.0.1", self.door.port)
-        self.oracle = DictOracle()
 
     def teardown(self) -> None:
         client = getattr(self, "client", None)
@@ -1816,9 +1800,7 @@ class FrontDoorTarget(Target):
         door = getattr(self, "door", None)
         if door is not None:
             door.stop()
-        service = getattr(self, "service", None)
-        if service is not None:
-            service.close()
+        super().teardown()
 
     # ------------------------------------------------------------ helpers
 
@@ -1831,14 +1813,6 @@ class FrontDoorTarget(Target):
             if response.ok:
                 self.oracle.insert(key, value)
 
-    def _verify_get(self, key: bytes) -> None:
-        got = self.client.get(key)
-        want = self.oracle.get(key)
-        _require(
-            got == want,
-            f"get over the wire -> {got!r}, oracle says {want!r}",
-        )
-
     # -------------------------------------------------------------- apply
 
     def apply(self, op: Op) -> None:
@@ -1849,13 +1823,14 @@ class FrontDoorTarget(Target):
             if response.ok:
                 self.oracle.insert(key, value)
         elif name == "burst":
-            base = int(op["v"])
-            self._apply_puts([
-                (decode_key(encoded), b"v%d" % (base + i))
-                for i, encoded in enumerate(op["keys"])
-            ])
+            self._apply_puts(_written(op))
         elif name == "get":
-            self._verify_get(decode_key(op["key"]))
+            key = decode_key(op["key"])
+            got, want = self.client.get(key), self.oracle.get(key)
+            _require(
+                got == want,
+                f"get over the wire -> {got!r}, oracle says {want!r}",
+            )
         elif name == "multi_get":
             keys = [decode_key(encoded) for encoded in op["keys"]]
             got = self.client.multi_get(keys)
@@ -1893,11 +1868,7 @@ class FrontDoorTarget(Target):
             # Race a pipelined write burst against a live routing flip:
             # the flip callback lands on the loop thread between
             # admission pumps while this thread's frames are in flight.
-            base = int(op["v"])
-            items = [
-                (decode_key(encoded), b"v%d" % (base + i))
-                for i, encoded in enumerate(op["keys"])
-            ]
+            items = _written(op)
             flip = None
             if self.service.splits < self.max_splits:
                 donor = int(op["shard"]) % self.service.num_shards
@@ -1920,12 +1891,7 @@ class FrontDoorTarget(Target):
                 "frontdoor" in payload,
                 "stats over the wire must carry the frontdoor counters",
             )
-            _require(
-                payload["submitted"]
-                == payload["accepted"] + payload["rejected"],
-                f"admission ledger broke: {payload['submitted']} != "
-                f"{payload['accepted']} + {payload['rejected']}",
-            )
+            _check_ledger(payload)
         else:
             raise ValueError(f"unknown frontdoor op {name!r}")
 
@@ -1982,25 +1948,29 @@ class SimilarityTarget(ServiceTarget):
     is static here (no splits, no hot-key overlay, no force_trip: a
     fallback rebuild changes the element hasher and with it every
     signature, which is covered by the adapter unit tests instead).
+    Every op but ``put`` and ``similar`` is ServiceTarget's.
     """
 
     name = "similarity"
 
+    # ServiceTarget's ops that this target's streams carry.
+    _SHARED_OPS = frozenset(
+        {"get", "contains", "delete", "pump", "drain", "stats"}
+    )
+
     @classmethod
     def default_config(cls) -> Dict[str, object]:
-        return {
-            "hasher": {"positions": [0, 4], "word_size": 2},
+        config = dict(ServiceTarget.default_config())
+        config.update({
             "shards": 2,
             "backend": "similarity",
             "capacity": 64,
-            "max_queue": 8,
-            "batch_size": 4,
-            "execution": "inline",
             "bands": 4,
             "rows": 2,
             "b": 8,
             "shingle_width": 4,
-        }
+        })
+        return config
 
     @classmethod
     def random_config(cls, rng: random.Random) -> Dict[str, object]:
@@ -2025,34 +1995,27 @@ class SimilarityTarget(ServiceTarget):
         return opslib.generate_similarity_ops(rng, n)
 
     def __init__(self, config: Dict[str, object]):
-        self.bands = int(config.get("bands", 4))
-        self.rows = int(config.get("rows", 2))
-        self.b = int(config.get("b", 8))
-        self.shingle_width = int(config.get("shingle_width", 4))
-        self.hasher = build_hasher(config["hasher"])
-        # key -> oracle BBitMinHash; key -> home shard (static routing).
+        super().__init__(config)
+        # key -> oracle BBitMinHash of its latest admitted doc; key ->
+        # home shard (static routing).  The live keys are the oracle's.
         self.sigs: Dict[bytes, object] = {}
         self.shard_of: Dict[bytes, int] = {}
-        super().__init__(config)
 
-    def _build_service(self, config: Dict[str, object]):
-        from repro.service import Service
-
-        return Service(
-            num_shards=int(config.get("shards", 2)),
-            backend="similarity",
-            hasher=self.hasher,
-            capacity=int(config.get("capacity", 64)),
-            max_queue=self.max_queue,
-            batch_size=int(config.get("batch_size", 4)),
-            execution=self.execution,
-            backend_options={
-                "bands": self.bands,
-                "rows": self.rows,
-                "b": self.b,
-                "shingle_width": self.shingle_width,
-            },
-        )
+    def _service_kwargs(self, config: Dict[str, object]) -> Dict[str, object]:
+        self.bands = int(config["bands"])
+        self.rows = int(config["rows"])
+        self.b = int(config["b"])
+        self.shingle_width = int(config["shingle_width"])
+        kwargs = super()._service_kwargs(config)
+        # The oracle signs documents with the service's own hasher.
+        self.hasher = kwargs["hasher"]
+        kwargs["backend_options"] = {
+            "bands": self.bands,
+            "rows": self.rows,
+            "b": self.b,
+            "shingle_width": self.shingle_width,
+        }
+        return kwargs
 
     # ------------------------------------------------------------ oracle
 
@@ -2079,9 +2042,10 @@ class SimilarityTarget(ServiceTarget):
         sig = self.sigs[key]
         shard = self.shard_of[key]
         scored = []
-        for other, other_sig in self.sigs.items():
+        for other, _ in self.oracle.items():
             if other == key or self.shard_of[other] != shard:
                 continue
+            other_sig = self.sigs[other]
             if not self._shares_band(sig, other_sig):
                 continue
             scored.append((other, sig.jaccard(other_sig)))
@@ -2089,15 +2053,10 @@ class SimilarityTarget(ServiceTarget):
         return scored[: max(0, k)]
 
     def _verify(self, ticket, kind: str, expected) -> None:
+        super()._verify(ticket, kind, expected)  # the shared ok check
         if kind != "similar":
-            super()._verify(ticket, kind, expected)
             return
         response = ticket.response
-        _require(
-            response.ok,
-            f"similar on shard {response.shard} answered "
-            f"{response.status!r}: {response.error!r}",
-        )
         if expected is None:
             _require(
                 response.found is False,
@@ -2120,66 +2079,27 @@ class SimilarityTarget(ServiceTarget):
 
     # -------------------------------------------------------------- apply
 
-    def apply(self, op: Op) -> None:
+    def _record_doc(self, key: bytes, doc: bytes) -> None:
+        self.oracle.insert(key, doc)
+        self.sigs[key] = self._signature(doc)
+        self.shard_of[key] = self.service.router.table.route_one(key)
+
+    def _dispatch(self, op: Op) -> None:
         from repro.service import Request
 
         name = op["op"]
         if name == "put":
             key, doc = decode_key(op["key"]), bytes.fromhex(str(op["doc"]))
-            ticket = self._submit(Request("put", key, doc))
-            if ticket is not None:
-                self.oracle.insert(key, doc)
-                self.sigs[key] = self._signature(doc)
-                self.shard_of[key] = self.service.router.table.route_one(key)
-                self.pending.append((ticket, "put", None))
+            self._admit(Request("put", key, doc), "put",
+                        partial(self._record_doc, key, doc))
         elif name == "similar":
             key, k = decode_key(op["key"]), int(op["k"])
-            ticket = self._submit(
-                Request("similar", key, str(k).encode("ascii"))
-            )
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "similar", self._expected_similar(key, k))
-                )
-        elif name == "get":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("get", key))
-            if ticket is not None:
-                self.pending.append((ticket, "get", self.oracle.get(key)))
-        elif name == "contains":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("contains", key))
-            if ticket is not None:
-                self.pending.append(
-                    (ticket, "contains", self.oracle.contains(key))
-                )
-        elif name == "delete":
-            key = decode_key(op["key"])
-            ticket = self._submit(Request("delete", key))
-            if ticket is not None:
-                expected = self.oracle.delete(key)
-                self.sigs.pop(key, None)
-                self.pending.append((ticket, "delete", expected))
-        elif name == "pump":
-            self.service.pump()
-        elif name == "drain":
-            self.service.drain()
-        elif name == "stats":
-            import json
-
-            ticket = self.service.submit(Request("stats"))
-            _require(ticket.done, "stats must answer synchronously")
-            json.dumps(ticket.response.stats)
+            self._admit(Request("similar", key, str(k).encode("ascii")),
+                        "similar", partial(self._expected_similar, key, k))
+        elif name in self._SHARED_OPS:
+            super()._dispatch(op)
         else:
             raise ValueError(f"unknown similarity op {name!r}")
-        self._collect()
-        bound = self._queue_bound()
-        for worker in self.service.workers:
-            _require(
-                worker.queue_depth <= bound,
-                f"shard {worker.shard_id} queue grew to "
-                f"{worker.queue_depth} past the bound {bound}",
-            )
 
     def final_check(self) -> None:
         from repro.service import Request
@@ -2187,21 +2107,10 @@ class SimilarityTarget(ServiceTarget):
         super().final_check()
         # Beyond the doc read-back super() does: every live key's
         # neighbor list must still match brute force after the churn.
-        for key in sorted(self.sigs):
+        for key, _ in self.oracle.items():
             expected = self._expected_similar(key, 3)
-            ticket = None
-            for _ in range(self.max_queue + 2):
-                ticket = self._submit(
-                    Request("similar", key, b"3")
-                )
-                if ticket is not None:
-                    break
-                self.service.pump()
-            _require(
-                ticket is not None,
-                "final similar starved by backpressure",
-            )
-            self.service.drain()
+            ticket = self._read_back(Request("similar", key, b"3"),
+                                     "final similar")
             self._verify(ticket, "similar", expected)
 
 

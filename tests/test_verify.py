@@ -1,5 +1,6 @@
 """The differential harness itself: targets, generators, shrinker, CLI."""
 
+import hashlib
 import json
 import random
 
@@ -64,6 +65,70 @@ def test_ops_are_json_serializable():
         ops = cls.generate_ops(rng, 40)
         roundtrip = json.loads(json.dumps({"config": config, "ops": ops}))
         assert roundtrip["ops"] == ops
+
+
+# sha256 prefix of each target's default config plus, for seeds 0..199,
+# its random config and a 120-op stream (see _op_stream_digest).  A
+# saved repro or a `fuzz --seed N` run replays the same case only while
+# these hold; a change that means to alter a stream re-pins the value.
+PINNED_OP_STREAMS = {
+    "chaining": "4a61a2068812a070",
+    "probing": "4a61a2068812a070",
+    "cuckoo_table": "77ef1a6b9bb86f2b",
+    "bloom": "752b2e6e22800314",
+    "counting_bloom": "2dec37e20f6f9332",
+    "cuckoo_filter": "a6fee09a18a9987c",
+    "hll": "ec6beef38d33f3ab",
+    "countmin": "f77e585cbaba6af5",
+    "minhash": "27df011b5f6028e2",
+    "lsm": "fbd79e59bcd6c18e",
+    "engine": "58e850b0c6240cb1",
+    "reducers": "5f8ccda1fbc0ddd8",
+    "service": "5ef1332e7b7fe04a",
+    "chaos": "a3150abbc593a07b",
+    "reshard": "0bdc711eda43d947",
+    "drift": "8889ddf906f6e629",
+    "frontdoor": "892b7cf9b7a41a8f",
+    "similarity": "8d6954520ee08392",
+}
+
+
+def _op_stream_digest(cls) -> str:
+    digest = hashlib.sha256(
+        json.dumps(cls.default_config(), sort_keys=True).encode()
+    )
+    for seed in range(200):
+        rng = random.Random(seed)
+        digest.update(json.dumps(cls.random_config(rng), sort_keys=True).encode())
+        digest.update(json.dumps(cls.generate_ops(rng, 120), sort_keys=True).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_op_streams_are_pinned():
+    # Independent of PYTHONHASHSEED: no generator may iterate a set.
+    got = {name: _op_stream_digest(cls) for name, cls in TARGETS.items()}
+    assert got == PINNED_OP_STREAMS
+
+
+@pytest.mark.parametrize("one_key_batches", [False, True])
+def test_drain_holds_the_liveness_floor(one_key_batches):
+    # 12 puts over 3 shards leave some shard a backlog of >= 4, which
+    # batch_size 4 drains in one pump; 1-key batches need 4.
+    target = TARGETS["service"](TARGETS["service"].default_config())
+    try:
+        if one_key_batches:
+            for worker in target.service.workers:
+                worker.batch_size = 1
+        keys = [encode_key(b"key-%04d" % i) for i in range(12)]
+        target.apply({"op": "burst", "keys": keys, "v": 1})
+        if one_key_batches:
+            with pytest.raises(Divergence, match="liveness floor"):
+                target.apply({"op": "drain"})
+        else:
+            target.apply({"op": "drain"})
+            target.final_check()
+    finally:
+        target.teardown()
 
 
 def test_build_hasher_specs():
@@ -181,6 +246,36 @@ def test_cli_fuzz_rejects_unknown_structure():
 
     with pytest.raises(SystemExit):
         main(["fuzz", "--structure", "nonsense"])
+
+
+def test_cli_fuzz_execution_pins_exactly_the_serving_targets(capsys):
+    from repro import cli
+    from repro.verify.runner import FuzzReport
+
+    calls = {}
+
+    def fake_fuzz(name, seed=0, cases=10, ops_per_case=120, **kwargs):
+        calls[name] = kwargs
+        return FuzzReport(target=name, cases=1, ops_run=1)
+
+    # cmd_fuzz imports `fuzz` from repro.verify at call time, so
+    # patching the package attribute intercepts it.
+    import repro.verify as verify_pkg
+
+    original = verify_pkg.fuzz
+    verify_pkg.fuzz = fake_fuzz
+    try:
+        code = cli.main(["fuzz", "--structure", "all", "--execution", "process"])
+    finally:
+        verify_pkg.fuzz = original
+    assert code == 0
+    assert set(calls) == set(ALL_TARGETS)
+    pinned = {name for name, kwargs in calls.items() if kwargs}
+    assert pinned == {
+        "service", "chaos", "reshard", "drift", "frontdoor", "similarity",
+    }
+    for name in pinned:
+        assert calls[name] == {"config_overrides": {"execution": "process"}}
 
 
 def test_cli_fuzz_failure_exit_code_and_artifact(tmp_path, capsys):
