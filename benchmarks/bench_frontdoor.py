@@ -23,7 +23,7 @@ from repro.core.trainer import train_model
 from repro.datasets import google_urls
 from repro.service import (
     FrontDoorThread,
-    NetworkClient,
+    RemoteService,
     Service,
     ServiceClient,
     fork_available,
@@ -103,10 +103,11 @@ def _socket_record(model, keys, execution, connections, inproc_ops_s):
     try:
         operations = _operations(keys)
         with FrontDoorThread(service) as door:
-            clients = [
-                NetworkClient("127.0.0.1", door.port, jitter_seed=0xF00 + i)
+            remotes = [
+                RemoteService("127.0.0.1", door.port, jitter_seed=0xF00 + i)
                 for i in range(connections)
             ]
+            clients = [ServiceClient(remote) for remote in remotes]
             try:
                 step = -(-len(operations) // connections)
                 errors = []
@@ -170,8 +171,8 @@ def _socket_record(model, keys, execution, connections, inproc_ops_s):
                 record.update(latency_summary_ns(samples))
                 return record
             finally:
-                for client in clients:
-                    client.close()
+                for remote in remotes:
+                    remote.close()
     finally:
         service.close()
 

@@ -198,9 +198,17 @@ def _parse_listen(value: str):
     return host, port
 
 
+def _ack_ledger(clients) -> dict:
+    """The clients' ack ledgers, summed: one shape for the in-process
+    client and for the network connections."""
+    fields = ("retries", "generation_retries", "puts_accepted",
+              "puts_responded", "puts_acked", "lost_acks")
+    return {name: sum(getattr(c, name) for c in clients) for name in fields}
+
+
 def _run_listen_workload(args, service, listen, operations):
     """Drive the workload through real sockets: one front door on its
-    own thread, ``--connections`` concurrent network clients on worker
+    own thread, ``--connections`` concurrent socket clients on worker
     threads, each feeding its slice of the op stream.  Returns the
     aggregated op counts and a network-side ledger for the payload and
     ``--check``."""
@@ -208,7 +216,8 @@ def _run_listen_workload(args, service, listen, operations):
 
     from repro.service import (
         FrontDoorThread,
-        NetworkClient,
+        RemoteService,
+        ServiceClient,
         run_service_workload,
     )
 
@@ -246,10 +255,11 @@ def _run_listen_workload(args, service, listen, operations):
             raise errors[0]
 
     with FrontDoorThread(service, host, port) as door:
-        clients = [
-            NetworkClient(connect_host, door.port, jitter_seed=0xBEEF + i)
+        remotes = [
+            RemoteService(connect_host, door.port, jitter_seed=0xBEEF + i)
             for i in range(connections)
         ]
+        clients = [ServiceClient(remote) for remote in remotes]
         try:
             if args.force_trip or args.force_split:
                 half = len(operations) // 2
@@ -273,16 +283,11 @@ def _run_listen_workload(args, service, listen, operations):
                 run_phase(clients, operations)
             frontdoor_stats = door.run_in_loop(door.door.stats)
         finally:
-            for client in clients:
-                client.close()
+            for remote in remotes:
+                remote.close()
     net = {
         "connections": connections,
-        "retries": sum(c.retries for c in clients),
-        "generation_retries": sum(c.generation_retries for c in clients),
-        "puts_sent": sum(c.puts_sent for c in clients),
-        "puts_responded": sum(c.puts_responded for c in clients),
-        "puts_acked": sum(c.puts_acked for c in clients),
-        "lost_acks": sum(c.lost_acks for c in clients),
+        **_ack_ledger(clients),
         "frontdoor": frontdoor_stats,
     }
     return counts, net
@@ -441,12 +446,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "preload_seconds": preload_s,
             "elapsed_seconds": elapsed,
             "ops_per_second": args.ops / elapsed if elapsed > 0 else 0.0,
-            "client": {
-                "retries": client.retries,
-                "puts_accepted": client.puts_accepted,
-                "puts_acked": client.puts_acked,
-                "lost_acks": client.lost_acks,
-            },
+            "client": _ack_ledger([client]),
         }
         if net is not None:
             payload["network"] = net
@@ -498,8 +498,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"peak queue {shard['peak_queue_depth']}, "
                       f"rejected {shard['rejected']}, "
                       f"size {shard['structure']['size']})")
-            print(f"  acks: {client.puts_acked}/{client.puts_accepted} OK, "
-                  f"{client.lost_acks} lost")
+            acks = payload["client"]
+            print(f"  acks: {acks['puts_acked']}/{acks['puts_accepted']} OK, "
+                  f"{acks['lost_acks']} lost")
             if net is not None:
                 fd = net["frontdoor"]
                 print(f"  network: {net['connections']} connection(s) over "
@@ -510,7 +511,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       f"{fd['resubmits']} server-side resubmit(s), "
                       f"{net['retries']} wire retries")
                 print(f"  network acks: {net['puts_acked']}/"
-                      f"{net['puts_sent']} OK, {net['lost_acks']} lost, "
+                      f"{net['puts_accepted']} OK, {net['lost_acks']} lost, "
                       f"{net['generation_retries']} client-visible "
                       f"generation error(s)")
 

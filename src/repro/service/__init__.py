@@ -15,7 +15,8 @@ of the pipeline, and a monitor trip opens only that shard's
 probes its way back to partial-key hashing, and its siblings never stop
 using the entropy-learned fast path.  :class:`ServiceClient` wraps it
 all in plain blocking calls with bounded waiting (backoff budgets and
-deadlines) for in-process use, load generation, and tests.
+deadlines) for in-process use, load generation, and tests; over a
+:class:`RemoteService` the same client drives a front door's socket.
 
 Since PR 6 *where* a shard executes is pluggable: the worker shell
 (queue, tickets, journal, fault hooks) delegates structure work to an
@@ -47,8 +48,8 @@ from repro.service.backends import (
 from repro.service.breaker import CircuitBreaker
 from repro.service.client import (
     DeadlineExceededError,
-    NetworkClient,
     NetworkRequestError,
+    RemoteService,
     ServiceClient,
     ServiceDrainingError,
     ServiceOverloadedError,
@@ -91,11 +92,11 @@ __all__ = [
     "FrontDoor",
     "FrontDoorThread",
     "HotKeyTracker",
-    "NetworkClient",
     "NetworkRequestError",
     "OK",
     "OPS",
     "REJECTED",
+    "RemoteService",
     "Request",
     "Response",
     "RoutingTable",

@@ -1,18 +1,22 @@
-"""In-process client: blocking calls and batched multi-ops.
+"""Blocking client calls and batched multi-ops, over two transports.
 
-The client turns the ticket-based service protocol into plain method
-calls, and is the layer where *bounded waiting* lives: every call,
-scalar or batch, admits through one batch walk that re-admits the
-rejected remainder after a deterministic exponential backoff (a
-synchronous caller has nobody to de-synchronise from, so there is no
-jitter) under a total pump budget before raising
+:class:`ServiceClient` turns the ticket-based service protocol into
+plain method calls, and is the layer where *bounded waiting* lives:
+every call, scalar or batch, admits through one batch walk that
+re-admits the rejected remainder after a deterministic exponential
+backoff under a total pump budget before raising
 :class:`ServiceOverloadedError`, and completing a ticket pumps at most
 ``deadline_pumps`` times before the client marks the ticket failed,
 cancels it at its shard, and raises :class:`DeadlineExceededError` — no
 call can spin forever, even when a fault plane is stalling workers
 underneath.  The client also keeps the ack ledger the acceptance
-criteria care about — ``puts_accepted`` vs ``puts_acked`` — so a load
-generator can assert zero lost acknowledged writes after a run.
+criteria care about — ``puts_accepted`` vs ``puts_responded`` — so a
+load generator can assert zero lost acknowledged writes after a run.
+
+The client makes four calls on the service under it: ``submit_batch``,
+``pump``, ``drain`` and ``cancel``.  An in-process :class:`Service`
+provides them, and so does :class:`RemoteService` over a front door's
+socket, so one client, one walk and one ledger serve both transports.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro._util import as_bytes
 
@@ -37,10 +41,18 @@ from repro.service.service import Service
 
 # Per-attempt backoff ceiling: however deep the rejecting queue's
 # retry_after hint, a single backoff attempt never spends more than
-# this many pumps (in-process) or the equivalent sleep (network)
-# before re-checking admission.  The total spend across attempts is
-# bounded separately by the submit pump budget / retry cap.
+# this many pumps before re-checking admission.  The total spend
+# across attempts is bounded separately by the submit pump budget /
+# retry cap.
 BACKOFF_CAP_PUMPS = 64
+
+# RemoteService: the wall-clock stand-in for one service pump (the
+# mean of its jittered backoff sleep), and the most frames sent before
+# the first answer is read.
+PUMP_INTERVAL_S = 0.0002
+PIPELINE_WINDOW = 512
+
+_WRITES = frozenset(("put", "delete"))
 
 
 class ServiceOverloadedError(RuntimeError):
@@ -50,8 +62,8 @@ class ServiceOverloadedError(RuntimeError):
 class ServiceDrainingError(RuntimeError):
     """The front door is shutting down; the request was turned away.
 
-    Only the network path raises this: in-flight requests still
-    complete during a drain, so a ``draining`` answer means the
+    Only the socket transport answers ``draining``: in-flight requests
+    still complete during a drain, so a ``draining`` answer means the
     request was never admitted — a negative acknowledgement."""
 
 
@@ -68,12 +80,22 @@ class DeadlineExceededError(RuntimeError):
     """
 
 
+# Statuses that do not end a ticket's walk as they stand: a routing
+# flip (None: resubmit), or a wire-only refusal, raised as its error.
+_NOT_FINAL = {
+    WRONG_GENERATION: None,
+    netproto.DRAINING: ServiceDrainingError,
+    netproto.BAD_REQUEST: NetworkRequestError,
+}
+
+
 class ServiceClient:
-    """Synchronous facade over an in-process :class:`Service`."""
+    """Synchronous facade over a :class:`Service`, in-process or a
+    :class:`RemoteService` over a socket."""
 
     def __init__(
         self,
-        service: Service,
+        service: Service | RemoteService,
         max_retries: int = 64,
         deadline_pumps: int = 1024,
         submit_pump_budget: int = 4096,
@@ -113,7 +135,8 @@ class ServiceClient:
 
         Per-key admission order survives the walk because a shard that
         rejects a request stays closed for the rest of that batch (see
-        :meth:`Service.submit_batch`): a later write to a key is never
+        :meth:`Service.submit_batch`; :class:`RemoteService` keeps the
+        same promise over the wire): a later write to a key is never
         accepted ahead of an earlier one that is still waiting.
         """
         tickets: List[Optional[Ticket]] = [None] * len(requests)
@@ -147,7 +170,8 @@ class ServiceClient:
             self.backoff_pumps += pumps
             batch = [requests[i] for i in remainder]
             attempt += 1
-        shards = sorted({tickets[i].shard for i in remainder})
+        # A connection-level rejection names no shard.
+        shards = sorted({tickets[i].shard for i in remainder} - {None})
         raise ServiceOverloadedError(
             f"{len(remainder)} request(s) still rejected after "
             f"{attempt + 1} attempt(s) without progress and {spent} "
@@ -176,20 +200,28 @@ class ServiceClient:
                     )
                 self.service.pump()
                 pumps += 1
-            if (ticket.response.status == WRONG_GENERATION
-                    and resubmits < self.max_retries):
-                # A routing flip moved the key between admission and
-                # dispatch; the answer is "ask again", not a failure.
-                # The resubmit routes through the *current* table, so
-                # this converges unless flips outpace the retry cap.
-                # Ledger-wise the old ticket was answered (negatively)
-                # and the resubmit is a fresh accepted put.
-                if ticket.request.op == "put":
-                    self.puts_responded += 1
-                self.generation_retries += 1
-                resubmits += 1
-                ticket = self._admit([ticket.request])[0]
-                continue
+            status = ticket.response.status
+            if status in _NOT_FINAL:
+                refusal = _NOT_FINAL[status]
+                if refusal is not None:
+                    # The door turned the request away unadmitted.
+                    if ticket.request.op == "put":
+                        self.puts_responded += 1  # negative ack
+                    raise refusal(ticket.response.error or status)
+                if resubmits < self.max_retries:
+                    # A routing flip moved the key between admission
+                    # and dispatch; the answer is "ask again", not a
+                    # failure.  The resubmit routes through the
+                    # *current* table, so this converges unless flips
+                    # outpace the retry cap.  Ledger-wise the old
+                    # ticket was answered (negatively) and the
+                    # resubmit is a fresh accepted put.
+                    if ticket.request.op == "put":
+                        self.puts_responded += 1
+                    self.generation_retries += 1
+                    resubmits += 1
+                    ticket = self._admit([ticket.request])[0]
+                    continue
             break
         if ticket.request.op == "put":
             self.puts_responded += 1
@@ -268,249 +300,133 @@ class ServiceClient:
     def lost_acks(self) -> int:
         """Accepted puts whose response never arrived (must stay 0).
 
-        An explicit FAILED response (e.g. a full cuckoo shard) is a
-        *negative* ack, not a lost one; ``puts_acked`` counts the OKs.
+        An explicit FAILED response (e.g. a full cuckoo shard) or a
+        door's refusal is a *negative* ack, not a lost one;
+        ``puts_acked`` counts the OKs.  Over a socket, a put whose frame
+        was sent when the connection dropped counts here.
         """
         return self.puts_accepted - self.puts_responded
 
 
-class NetworkClient:
-    """Blocking socket client for the front door — same surface as
-    :class:`ServiceClient`, but over TCP.
+class RemoteService:
+    """The four :class:`Service` calls :class:`ServiceClient` makes,
+    served by a front door over one TCP connection.
 
-    The wire protocol resolves responses out of submission order (a
-    ticket answers when its *shard* serves it), so the client keys
-    every frame by a client-assigned id and :meth:`_collect` stashes
-    whatever else arrives while waiting.  Backpressure statuses back
-    off exponentially like the in-process client — an explicit-zero
-    hint means "retry immediately" — except the wait is a jittered
-    wall-clock sleep instead of cooperative pumps: the server pumps for
-    itself, and concurrent connections need de-synchronising.
+    :meth:`submit_batch` sends the batch in pipeline windows (so one
+    connection still feeds the door's coalescer micro-batches) and
+    reads every answer, matched by frame id in whatever order the
+    shards serve them, before it returns: every ticket comes back
+    resolved, and the client's walk re-admits the rejected remainder
+    exactly as in-process.  The wire cannot keep the closed-shard rule
+    across frames, so a window ends before a key it already writes,
+    and once a window sees a rejection the rest of the batch is
+    answered ``rejected`` here, unsent: a write is never sent while an
+    earlier write to its key is unanswered or was rejected.
 
-    The ack ledger mirrors :class:`ServiceClient`: ``puts_sent`` counts
-    logical puts once at first wire send, ``puts_responded`` counts
-    terminal answers *including negative ones* (FAILED, draining,
-    overload give-up), and ``puts_acked`` counts OKs — so
-    :attr:`lost_acks` is still "puts the server owes an answer for".
+    The door pumps for itself, so :meth:`pump` is a backoff sleep of
+    about one pump interval, jittered by the seeded rng so connections
+    de-synchronise.  If the connection drops, frames sent but
+    unanswered keep ``response=None`` (their puts count as the client's
+    lost acks) and the next call raises :class:`ConnectionError`.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_retries: int = 64,
-        timeout_s: float = 30.0,
-        pump_interval_s: float = 0.0002,
-        backoff_cap_s: float = 0.05,
-        pipeline_window: int = 512,
-        jitter_seed: int = 0xBEEF,
-        max_frame: int = netproto.MAX_FRAME_BYTES,
-    ):
-        self.max_retries = max_retries
-        self.pump_interval_s = pump_interval_s
-        self.backoff_cap_s = backoff_cap_s
-        self.pipeline_window = pipeline_window
+    def __init__(self, host: str, port: int, jitter_seed: int = 0xBEEF,
+                 timeout_s: float = 30.0):
         self._rng = random.Random(jitter_seed)
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
+        self._sock: Optional[socket.socket] = socket.create_connection(
+            (host, port), timeout=timeout_s
+        )
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._decoder = netproto.FrameDecoder(max_frame)
-        self._responses: Dict[int, Response] = {}
+        self._decoder = netproto.FrameDecoder()
         self._next_id = 0
-        self.retries = 0
-        self.backoff_s = 0.0
-        self.generation_retries = 0
-        self.puts_sent = 0
-        self.puts_responded = 0
-        self.puts_acked = 0
+        self._closed_reason = "the connection is closed"
 
-    # ----------------------------------------------------------- plumbing
+    def _live(self) -> socket.socket:
+        if self._sock is None:
+            raise ConnectionError(self._closed_reason)
+        return self._sock
 
-    def _send(self, request: Request) -> int:
-        frame_id = self._next_id
-        self._next_id += 1
-        self._sock.sendall(netproto.encode_request(frame_id, request))
-        return frame_id
+    def submit_batch(self, requests: Sequence[Request]) -> List[Ticket]:
+        sock = self._live()
+        first = self._next_id
+        self._next_id += len(requests)
+        tickets = [Ticket(r, first + i) for i, r in enumerate(requests)]
+        sent = 0
+        for start, sent in _windows(requests):
+            window = tickets[start:sent]
+            try:
+                sock.sendall(b"".join(
+                    netproto.encode_request(t.request_id, t.request)
+                    for t in window
+                ))
+                if self._collect({t.request_id: t for t in window}):
+                    break
+            except OSError as exc:
+                self._closed_reason = f"connection lost: {exc}"
+                self.close()
+                break
+        for ticket in tickets[sent:]:
+            ticket.response = Response(
+                REJECTED, error="held back behind an earlier rejection"
+            )
+        return tickets
 
-    def _collect(self, frame_id: int) -> Response:
-        while frame_id not in self._responses:
+    def _collect(self, waiting: Dict[int, Ticket]) -> bool:
+        """Read answers until every ticket in ``waiting`` has one, in
+        whatever order they arrive; True if any was ``rejected``."""
+        rejected = False
+        while waiting:
             data = self._sock.recv(1 << 16)
             if not data:
                 raise ConnectionError(
                     "server closed the connection mid-request"
                 )
             for payload in self._decoder.feed(data):
-                self._responses[netproto.frame_id_of(payload)] = (
-                    netproto.decode_response(payload)
-                )
-        return self._responses.pop(frame_id)
+                ticket = waiting.pop(netproto.frame_id_of(payload), None)
+                if ticket is not None:
+                    response = netproto.decode_response(payload)
+                    ticket.response, ticket.shard = response, response.shard
+                    rejected = rejected or response.status == REJECTED
+        return rejected
 
-    def _backoff(self, attempt: int, hint: Optional[int]) -> None:
-        # Same falsy-hint policy as ServiceClient._admit: a missing
-        # hint defaults to one pump-interval, an explicit 0 sleeps not
-        # at all, and the per-attempt ceiling is capped regardless of
-        # how deep the rejecting queue claims to be.
-        hint = 1 if hint is None else max(0, int(hint))
-        ceiling = min(
-            hint * self.pump_interval_s * (1 << min(attempt, 6)),
-            self.backoff_cap_s,
-        )
-        if ceiling <= 0:
-            return
-        delay = self._rng.uniform(0, ceiling)
-        self.backoff_s += delay
-        time.sleep(delay)
+    def pump(self) -> None:
+        self._live()
+        time.sleep(self._rng.uniform(0.0, 2.0 * PUMP_INTERVAL_S))
 
-    def _negative_ack(self, request: Request) -> None:
-        if request.op == "put":
-            self.puts_responded += 1
+    def drain(self) -> None:
+        """Nothing to do: every ticket came back resolved."""
 
-    def _settle(self, request: Request, response: Response) -> Response:
-        """Walk one request to a terminal answer, retrying the two
-        try-again statuses (``rejected`` with backoff, and
-        ``wrong_generation`` as defense in depth — a well-behaved front
-        door resubmits those server-side)."""
-        attempt = 0
-        flips = 0
-        while True:
-            status = response.status
-            if status == REJECTED:
-                if attempt >= self.max_retries:
-                    self._negative_ack(request)
-                    raise ServiceOverloadedError(
-                        f"submit rejected {attempt + 1} times over the "
-                        f"wire ({self.backoff_s:.3f}s backed off)"
-                    )
-                self.retries += 1
-                self._backoff(attempt, response.retry_after)
-                attempt += 1
-            elif status == WRONG_GENERATION and flips < self.max_retries:
-                self.generation_retries += 1
-                flips += 1
-            elif status == netproto.DRAINING:
-                self._negative_ack(request)
-                raise ServiceDrainingError(
-                    response.error or "front door is draining"
-                )
-            elif status == netproto.BAD_REQUEST:
-                self._negative_ack(request)
-                raise NetworkRequestError(
-                    response.error or "server rejected the frame"
-                )
-            else:
-                # OK, FAILED, or a wrong-generation walk that ran out
-                # of retries: terminal either way.
-                if request.op == "put":
-                    self.puts_responded += 1
-                    if response.ok:
-                        self.puts_acked += 1
-                return response
-            response = self._collect(self._send(request))
-
-    def _terminal(self, request: Request) -> Response:
-        if request.op == "put":
-            self.puts_sent += 1
-        return self._settle(request, self._collect(self._send(request)))
-
-    def _terminal_many(self, requests: Sequence[Request]) -> List[Response]:
-        """Pipelined round-trips: a whole window of frames goes out
-        before the first response is read, so one connection still
-        hands the front door real micro-batches to coalesce."""
-        out: List[Response] = []
-        for start in range(0, len(requests), self.pipeline_window):
-            chunk = requests[start:start + self.pipeline_window]
-            for request in chunk:
-                if request.op == "put":
-                    self.puts_sent += 1
-            frame_ids = [self._send(request) for request in chunk]
-            out.extend(
-                self._settle(request, self._collect(frame_id))
-                for request, frame_id in zip(chunk, frame_ids)
-            )
-        return out
-
-    # ------------------------------------------------------------ scalar
-
-    def get(self, key) -> Optional[bytes]:
-        return self._terminal(Request("get", as_bytes(key))).value
-
-    def put(self, key, value) -> Response:
-        return self._terminal(
-            Request("put", as_bytes(key), as_bytes(value))
-        )
-
-    def delete(self, key) -> Response:
-        return self._terminal(Request("delete", as_bytes(key)))
-
-    def contains(self, key) -> bool:
-        return bool(self._terminal(Request("contains", as_bytes(key))).found)
-
-    def stats(self) -> Dict[str, object]:
-        """Scrape the /metrics verb: service stats + ``frontdoor``."""
-        return self._terminal(Request("stats")).stats
-
-    def similar(self, key, k: int = 10) -> List[Tuple[bytes, float]]:
-        """Top-k neighbors over the wire (similarity backend only)."""
-        response = self._terminal(
-            Request("similar", as_bytes(key), str(int(k)).encode("ascii"))
-        )
-        return list(response.neighbors or ())
-
-    # ------------------------------------------------------------- batch
-
-    def put_many(self, pairs: Iterable[Tuple[object, object]]) -> List[Response]:
-        items = [(as_bytes(k), as_bytes(v)) for k, v in pairs]
-        keys = [k for k, _ in items]
-        requests = [Request("put", k, v) for k, v in items]
-        if len(set(keys)) == len(keys):
-            return self._terminal_many(requests)
-        # Same rule as the in-process client: duplicate keys must land
-        # in submission order, and a rejected-then-retried first write
-        # pipelined next to an accepted second write would not.
-        return [self._terminal(request) for request in requests]
-
-    def multi_get(self, keys: Sequence[object]) -> List[Optional[bytes]]:
-        responses = self._terminal_many(
-            [Request("get", as_bytes(k)) for k in keys]
-        )
-        return [r.value for r in responses]
-
-    def contains_many(self, keys: Sequence[object]) -> List[bool]:
-        responses = self._terminal_many(
-            [Request("contains", as_bytes(k)) for k in keys]
-        )
-        return [bool(r.found) for r in responses]
-
-    def similar_many(
-        self, keys: Sequence[object], k: int = 10
-    ) -> List[List[Tuple[bytes, float]]]:
-        """Pipelined top-k queries: a whole window of ``similar``
-        frames goes out before the first response is read."""
-        payload = str(int(k)).encode("ascii")
-        responses = self._terminal_many(
-            [Request("similar", as_bytes(key), payload) for key in keys]
-        )
-        return [list(r.neighbors or ()) for r in responses]
-
-    @property
-    def lost_acks(self) -> int:
-        """Puts sent whose terminal answer never arrived (must stay 0).
-
-        Negative answers — FAILED, a drain turn-away, an overload
-        give-up — count as responded: the server said *no*, it did not
-        lose the write."""
-        return self.puts_sent - self.puts_responded
+    def cancel(self, ticket: Ticket) -> None:
+        """Nothing to do: every ticket came back resolved."""
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
 
-    def __enter__(self) -> "NetworkClient":
+    def __enter__(self) -> "RemoteService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _windows(requests: Sequence[Request]) -> Iterator[Tuple[int, int]]:
+    """``(start, end)`` pipeline windows over a batch: at most
+    :data:`PIPELINE_WINDOW` frames, each ending before a key it already
+    writes."""
+    start = 0
+    written = set()
+    for i, request in enumerate(requests):
+        write = request.op in _WRITES
+        if i - start == PIPELINE_WINDOW or (write and request.key in written):
+            yield start, i
+            start = i
+            written.clear()
+        if write:
+            written.add(request.key)
+    if start < len(requests):
+        yield start, len(requests)
 
 
 def run_service_workload(client: ServiceClient, operations) -> Dict[str, int]:
@@ -558,8 +474,10 @@ def run_service_workload(client: ServiceClient, operations) -> Dict[str, int]:
 __all__ = [
     "BACKOFF_CAP_PUMPS",
     "DeadlineExceededError",
-    "NetworkClient",
     "NetworkRequestError",
+    "PIPELINE_WINDOW",
+    "PUMP_INTERVAL_S",
+    "RemoteService",
     "ServiceClient",
     "ServiceDrainingError",
     "ServiceOverloadedError",

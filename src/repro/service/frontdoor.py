@@ -391,11 +391,11 @@ class FrontDoorThread:
     """Run a :class:`FrontDoor` (and its event loop) on its own thread.
 
     Synchronous code — the CLI, benchmarks, tests, the fuzz target —
-    starts the thread, connects :class:`~repro.service.client.
-    NetworkClient` instances against ``.port``, and schedules any
-    direct service mutation (a forced split, a tripped monitor)
-    through :meth:`run_in_loop` so the single-threaded-service rule
-    holds.  ``stop()`` drains and joins.
+    starts the thread, connects clients against ``.port`` (one
+    ``ServiceClient(RemoteService(host, port))`` per connection), and
+    schedules any direct service mutation (a forced split, a tripped
+    monitor) through :meth:`run_in_loop` so the single-threaded-service
+    rule holds.  ``stop()`` drains and joins.
     """
 
     def __init__(self, service: Service, host: str = "127.0.0.1",

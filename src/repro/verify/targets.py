@@ -1786,17 +1786,20 @@ class FrontDoorTarget(ServiceTarget):
         return opslib.generate_frontdoor_ops(rng, n)
 
     def __init__(self, config: Dict[str, object]):
-        from repro.service import FrontDoorThread, NetworkClient
+        from repro.service import (
+            FrontDoorThread, RemoteService, ServiceClient,
+        )
 
         super().__init__(config)
         self.max_splits = int(self.config["max_splits"])
         self.door = FrontDoorThread(self.service).start()
-        self.client = NetworkClient("127.0.0.1", self.door.port)
+        self.remote = RemoteService("127.0.0.1", self.door.port)
+        self.client = ServiceClient(self.remote)
 
     def teardown(self) -> None:
-        client = getattr(self, "client", None)
-        if client is not None:
-            client.close()
+        remote = getattr(self, "remote", None)
+        if remote is not None:
+            remote.close()
         door = getattr(self, "door", None)
         if door is not None:
             door.stop()
@@ -1806,8 +1809,9 @@ class FrontDoorTarget(ServiceTarget):
 
     def _apply_puts(self, items) -> None:
         """One pipelined write burst; acked writes land on the oracle
-        in response order (per-key order is wire order: duplicates take
-        the client's scalar path, distinct keys never reorder)."""
+        in request order (per-key order is wire order: the transport
+        never sends a write while an earlier write to its key is
+        unanswered or rejected)."""
         responses = self.client.put_many(items)
         for (key, value), response in zip(items, responses):
             if response.ok:

@@ -1,5 +1,6 @@
-"""Tests for the asyncio network front door and its socket client."""
+"""Tests for the asyncio network front door and the socket transport."""
 
+import contextlib
 import socket
 import struct
 import threading
@@ -9,14 +10,22 @@ import pytest
 from repro.core.trainer import train_model
 from repro.datasets import google_urls
 from repro.service import (
+    OK,
+    REJECTED,
     FrontDoorThread,
-    NetworkClient,
+    NetworkRequestError,
+    RemoteService,
+    Request,
+    Response,
     Service,
+    ServiceClient,
     ServiceDrainingError,
     ServiceOverloadedError,
+    Ticket,
     fork_available,
     netproto,
 )
+from repro.service import client as client_module
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,40 @@ def _service(model, **kwargs):
     return Service(**defaults)
 
 
+@contextlib.contextmanager
+def _connect(port, **client_kwargs):
+    """A ``ServiceClient`` over one socket to the door at ``port``."""
+    with RemoteService("127.0.0.1", port) as remote:
+        yield ServiceClient(remote, **client_kwargs)
+
+
+def _frames(conn):
+    """Request payloads off a server-side socket, until the peer hangs
+    up."""
+    decoder = netproto.FrameDecoder()
+    while True:
+        data = conn.recv(1 << 16)
+        if not data:
+            return
+        yield from decoder.feed(data)
+
+
+def _scripted_door(handle):
+    """A stand-in front door on a plain listening socket: one thread
+    accepts one connection and runs ``handle(conn)`` on it.  Returns
+    the port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        listener.close()
+        with conn:
+            handle(conn)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener.getsockname()[1]
+
+
 def _read_payload(sock, decoder):
     while True:
         data = sock.recv(1 << 16)
@@ -50,7 +93,7 @@ class TestBasicKV:
         service = _service(model)
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     assert client.put(b"k", b"v").ok
                     assert client.get(b"k") == b"v"
                     assert client.get(b"missing") is None
@@ -69,7 +112,7 @@ class TestBasicKV:
         service = _service(model)
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     pairs = [(b"pb%03d" % i, b"v%d" % i) for i in range(150)]
                     assert all(r.ok for r in client.put_many(pairs))
                     got = client.multi_get([k for k, _ in pairs])
@@ -92,7 +135,7 @@ class TestBasicKV:
         service = _service(model)
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     client.put(b"s", b"1")
                     stats = client.stats()
                     assert stats["submitted"] >= 1  # service ledger
@@ -101,21 +144,28 @@ class TestBasicKV:
         finally:
             service.close()
 
-    def test_out_of_order_collection(self, model):
-        from repro.service import Request
+    def test_out_of_order_collection(self):
+        def answer_in_reverse(conn):
+            frames = _frames(conn)
+            first, second = next(frames), next(frames)
+            for payload in (second, first):
+                key = netproto.decode_request(payload).key
+                conn.sendall(netproto.encode_response(
+                    payload["id"], Response(OK, value=b"answer:" + key)
+                ))
+            for _ in frames:  # hold the socket until the client leaves
+                pass
 
-        service = _service(model)
-        try:
-            with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
-                    client.put(b"ooo", b"x")
-                    first = client._send(Request("get", b"ooo"))
-                    second = client._send(Request("get", b"missing"))
-                    # Collect in reverse: the stash matches by frame id.
-                    assert client._collect(second).value is None
-                    assert client._collect(first).value == b"x"
-        finally:
-            service.close()
+        with RemoteService("127.0.0.1",
+                           _scripted_door(answer_in_reverse)) as remote:
+            tickets = remote.submit_batch(
+                [Request("get", b"ooo"), Request("get", b"missing")]
+            )
+            # The answers came back reversed; the collector matches
+            # them to their tickets by frame id.
+            assert [t.response.value for t in tickets] == [
+                b"answer:ooo", b"answer:missing",
+            ]
 
 
 class TestConcurrentConnections:
@@ -123,11 +173,12 @@ class TestConcurrentConnections:
         service = _service(model)
         try:
             with FrontDoorThread(service) as door:
-                clients = [
-                    NetworkClient("127.0.0.1", door.port,
+                remotes = [
+                    RemoteService("127.0.0.1", door.port,
                                   jitter_seed=0xA0 + i)
                     for i in range(4)
                 ]
+                clients = [ServiceClient(remote) for remote in remotes]
                 errors = []
 
                 def drive(index, client):
@@ -152,8 +203,8 @@ class TestConcurrentConnections:
                 assert sum(c.lost_acks for c in clients) == 0
                 frontdoor = door.run_in_loop(door.door.stats)
                 assert frontdoor["connections_total"] == 4
-                for client in clients:
-                    client.close()
+                for remote in remotes:
+                    remote.close()
         finally:
             service.close()
 
@@ -184,14 +235,49 @@ class TestBackpressure:
         service = _service(model)
         try:
             with FrontDoorThread(service, max_pending=0) as door:
-                with NetworkClient("127.0.0.1", door.port,
-                                   max_retries=3) as client:
+                with _connect(door.port, max_retries=3) as client:
                     with pytest.raises(ServiceOverloadedError):
                         client.get(b"never-admitted")
-                    # A rejected-then-abandoned put is a negative ack,
-                    # not a lost one.
+                    # A put that was never admitted is not owed an
+                    # answer: it is not a lost ack.
                     with pytest.raises(ServiceOverloadedError):
                         client.put(b"np", b"v")
+                    assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    def test_overloaded_pipelined_put_many_loses_no_acks(self, model):
+        # Every frame of the batch is turned away at the door, so no
+        # put was admitted and none is owed an answer.
+        service = _service(model)
+        try:
+            with FrontDoorThread(service, max_pending=0) as door:
+                with _connect(door.port, max_retries=3) as client:
+                    with pytest.raises(ServiceOverloadedError):
+                        client.put_many(
+                            [(b"oa", b"1"), (b"ob", b"2"), (b"oc", b"3")]
+                        )
+                    assert client.puts_accepted == 0
+                    assert client.lost_acks == 0
+        finally:
+            service.close()
+
+    def test_duplicate_key_put_many_lands_the_last_write(
+        self, model, monkeypatch
+    ):
+        # Two-frame windows, so the batch spans several windows and
+        # max_pending=1 rejects inside them: a window sent after a
+        # rejected write could overtake it.
+        monkeypatch.setattr(client_module, "PIPELINE_WINDOW", 2)
+        pairs = [(b"other", b"x"), (b"dup", b"v0"), (b"dup", b"v1"),
+                 (b"dup", b"v2"), (b"tail", b"t"), (b"dup", b"v3")]
+        service = _service(model)
+        try:
+            with FrontDoorThread(service, max_pending=1) as door:
+                with _connect(door.port) as client:
+                    assert all(r.ok for r in client.put_many(pairs))
+                    assert client.retries > 0
+                    assert client.get(b"dup") == b"v3"
                     assert client.lost_acks == 0
         finally:
             service.close()
@@ -202,7 +288,7 @@ class TestBackpressure:
         service = _service(model)
         try:
             with FrontDoorThread(service, max_pending=1) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     pairs = [(b"bp%03d" % i, b"v") for i in range(40)]
                     assert all(r.ok for r in client.put_many(pairs))
                     assert client.lost_acks == 0
@@ -253,7 +339,7 @@ class TestBadFrames:
                 finally:
                     sock.close()
                 # The door itself survives for other connections.
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     assert client.put(b"alive", b"1").ok
         finally:
             service.close()
@@ -267,7 +353,7 @@ class TestSplitDrill:
         keys = [b"sd-%04d" % i for i in range(240)]
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     assert all(
                         r.ok for r in
                         client.put_many([(k, b"v0") for k in keys])
@@ -316,7 +402,7 @@ class TestDrain:
         service = _service(model)
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with _connect(door.port) as client:
                     client.put(b"pre", b"v")
                     door.run_in_loop(
                         setattr, door.door, "_draining", True
@@ -336,7 +422,7 @@ class TestDrain:
         service = _service(model)
         try:
             door = FrontDoorThread(service).start()
-            with NetworkClient("127.0.0.1", door.port) as client:
+            with _connect(door.port) as client:
                 assert client.put(b"final", b"v").ok
             port = door.port
             door.stop()
@@ -351,3 +437,106 @@ class TestDrain:
             assert ServiceClient(service).get(b"final") == b"v"
         finally:
             service.close()
+
+
+class TestRemoteService:
+    """The socket transport under ServiceClient: write order, the ack
+    ledger's fault signal, and the wire-only statuses."""
+
+    def test_write_never_overtakes_a_rejected_write(self):
+        # A door that rejects the first frame and admits every later
+        # one, as a real door does when a queue drains between two
+        # admission rounds.  Sending the second write to b"k" before
+        # the first is answered would let it land first.
+        store = {}
+
+        def reject_the_first_frame(conn):
+            for n, payload in enumerate(_frames(conn)):
+                request = netproto.decode_request(payload)
+                if n == 0:
+                    response = Response(REJECTED, retry_after=0)
+                else:
+                    store[request.key] = request.value
+                    response = Response(OK)
+                conn.sendall(netproto.encode_response(payload["id"],
+                                                      response))
+
+        port = _scripted_door(reject_the_first_frame)
+        with _connect(port) as client:
+            responses = client.put_many([(b"k", b"old"), (b"k", b"new")])
+            assert all(r.ok for r in responses)
+            assert store == {b"k": b"new"}
+            assert client.lost_acks == 0
+
+    def test_sent_but_unanswered_put_is_a_lost_ack(self):
+        # The peer reads the put's frame and hangs up without an
+        # answer: the put may have been applied, so the ledger must
+        # count it as lost rather than settle at zero.
+        port = _scripted_door(lambda conn: next(_frames(conn)))
+        with _connect(port) as client:
+            with pytest.raises(ConnectionError):
+                client.put(b"k", b"v")
+            assert client.puts_accepted == 1
+            assert client.lost_acks == 1
+            # The transport stays down: later calls fail fast.
+            with pytest.raises(ConnectionError):
+                client.get(b"k")
+
+    def test_bad_request_is_a_typed_negative_ack(self):
+        def refuse(conn):
+            for payload in _frames(conn):
+                conn.sendall(netproto.encode_status(
+                    payload["id"], netproto.BAD_REQUEST, error="refused"
+                ))
+
+        with _connect(_scripted_door(refuse)) as client:
+            with pytest.raises(NetworkRequestError, match="refused"):
+                client.put(b"k", b"v")
+            assert client.puts_responded == 1
+            assert client.lost_acks == 0
+
+    def test_overload_error_with_connection_rejections(self):
+        # Per-connection rejections name no shard; mixed with shard
+        # rejections the give-up message must still build.
+        class AlwaysRejects:
+            def submit_batch(self, requests):
+                return [
+                    Ticket(r, i, shard=(1 if i % 2 else None),
+                           response=Response(REJECTED, retry_after=0))
+                    for i, r in enumerate(requests)
+                ]
+
+        client = ServiceClient(AlwaysRejects(), max_retries=2)
+        with pytest.raises(ServiceOverloadedError, match=r"shards \[1\]"):
+            client.multi_get([b"a", b"b", b"c"])
+
+
+class TestTransportParity:
+    def test_same_answers_in_process_and_over_the_socket(self, model):
+        def script(client):
+            answers = [
+                client.put(b"pa", b"1"),
+                client.put_many([(b"pb", b"1"), (b"pa", b"2"),
+                                 (b"pb", b"3"), (b"pc", b"4")]),
+                client.get(b"pa"),
+                client.get(b"missing"),
+                client.multi_get([b"pa", b"pb", b"pc", b"pa", b"missing"]),
+                client.contains_many([b"pa", b"missing"]),
+                client.delete(b"pb"),
+                client.delete(b"pb"),
+                client.get(b"pb"),
+                # The socket's stats also carry the door's own section.
+                sorted(set(client.stats()) - {"frontdoor"}),
+            ]
+            assert client.lost_acks == 0
+            return answers
+
+        local, remote = _service(model), _service(model)
+        try:
+            expected = script(ServiceClient(local))
+            with FrontDoorThread(remote) as door:
+                with _connect(door.port) as client:
+                    assert script(client) == expected
+        finally:
+            local.close()
+            remote.close()

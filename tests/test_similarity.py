@@ -10,7 +10,7 @@ import pytest
 from repro.core.hasher import EntropyLearnedHasher
 from repro.service import (
     FrontDoorThread,
-    NetworkClient,
+    RemoteService,
     Service,
     ServiceClient,
 )
@@ -477,13 +477,15 @@ class TestSimilarityService:
 
     def test_socket_end_to_end_with_sigkill_and_split(self):
         """The acceptance drill: similar(key, k) over a real socket
-        (NetworkClient -> front door -> process shards), surviving both
-        a SIGKILL-and-replay and a forced live split."""
+        (ServiceClient over RemoteService -> front door -> process
+        shards), surviving both a SIGKILL-and-replay and a forced live
+        split."""
         docs, _ = _planted_corpus(n=18, dups=6, seed=10)
         service = _service("process")
         try:
             with FrontDoorThread(service) as door:
-                with NetworkClient("127.0.0.1", door.port) as client:
+                with RemoteService("127.0.0.1", door.port) as remote:
+                    client = ServiceClient(remote)
                     responses = client.put_many(list(docs.items()))
                     assert all(response.ok for response in responses)
                     baseline = {
