@@ -37,7 +37,7 @@ journal-replay migration, generation flip, queue sweep — with a
 the safety net for stragglers.
 """
 
-from repro.service.adapters import AdapterSpec, make_adapter
+from repro.service.adapters import BACKENDS, AdapterSpec, make_adapter
 from repro.service.backends import (
     EXECUTIONS,
     ExecutionBackend,
@@ -74,7 +74,7 @@ from repro.service.routing import RoutingTable
 from repro.service.service import Service
 from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
-from repro.service.worker import BACKENDS, Worker
+from repro.service.worker import Worker
 
 __all__ = [
     "AdapterSpec",

@@ -1,51 +1,51 @@
 """Execution backends: how a shard's core actually runs.
 
-The worker shell (queueing, tickets, journal, fault hooks) is backend-
-agnostic; an :class:`ExecutionBackend` decides *where* the
-:class:`~repro.service.core.ShardCore` lives and how wire segments
-reach it:
+The worker shell (queueing, tickets, journal, fault hooks, acks) is
+backend-agnostic; an :class:`ExecutionBackend` is transport only.  It
+decides *where* the :class:`~repro.service.core.ShardCore` lives and
+moves two things to it: batches of wire segments (``serve`` starts
+one, ``collect`` returns ``(results, crashed)`` for the prefix the core
+applied and reported) and named control ops (``control``, dispatched
+by :meth:`ShardCore.control <repro.service.core.ShardCore.control>`).
 
 * :class:`InlineBackend` — the core is embedded in the parent and
-  serves synchronously inside ``Worker.dispatch``.  This is the
-  original cooperative pump, kept byte-for-byte as the differential
-  fuzzer's reference semantics: same fault injection points, same
-  segment atomicity, same journal-at-ack ordering.
+  applies a batch inside ``Worker.dispatch``; ``collect`` hands the
+  results back.  It is the differential fuzzer's reference semantics:
+  same fault injection points in the same order, same segment
+  atomicity, same journal-at-ack ordering.
 * :class:`ProcessBackend` — one forked OS process per shard.  Wire
-  segments travel over a bounded ``multiprocessing`` queue, results
-  come back the same way, and the child bumps a heartbeat counter in
-  :class:`~repro.service.state.ShardStateBlock` shared memory after
-  every segment so the parent can tell slow from dead.  Dispatch and
-  collect are split phases: ``Service.pump`` dispatches one batch to
-  *every* shard before collecting any, which is where the multi-core
-  parallelism comes from.
+  segments and control ops travel over a bounded ``multiprocessing``
+  queue, results come back the same way, and the child bumps a
+  heartbeat counter in :class:`~repro.service.state.ShardStateBlock`
+  shared memory after every segment so the parent can tell slow from
+  dead.  ``Service.pump`` dispatches one batch to *every* shard before
+  collecting any, which is where the multi-core parallelism comes from.
 
 The crash model is identical on both sides because acknowledgement and
-journaling are parent-side shell work: a child that dies mid-batch
-(injected ``crash`` directive, injected ``sigkill``, or a genuine
-out-of-band ``kill -9``) has answered some prefix of its segments;
-exactly that prefix was acked and journaled, the rest of the tickets
-reconcile back to the front of the queue, and the replacement child is
-rebuilt from the acked-only journal — so nothing acked is lost and
-nothing unacked is double-applied, no matter how rudely the process
-died.
+journaling happen once, in ``Worker.collect``: a core that dies
+mid-batch (injected ``crash`` directive, injected ``sigkill``, or a
+genuine out-of-band ``kill -9``) has reported some prefix of its
+segments; exactly that prefix is acked and journaled, the rest of the
+tickets reconcile back to the front of the queue, and the replacement
+core is rebuilt from the acked-only journal — so nothing acked is lost
+and nothing unacked is double-applied, no matter how rudely the process
+died.  A process child that cannot take or answer any command is
+handled the same way: stopped, marked crashed, restarted next pump.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import queue as pyqueue
 import signal
 import time
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.faults import InjectedCrash
-
 from repro.service.adapters import AdapterSpec, StructureAdapter
-from repro.service.core import ShardCore
+from repro.service.core import ShardCore, WireResult, WireSegment
 from repro.service.state import (
     ALIVE,
     BATCHES,
@@ -79,7 +79,8 @@ def fork_available() -> bool:
 
 
 class ExecutionBackend:
-    """Where and how one shard's core executes."""
+    """Where one shard's core runs: a transport for wire segments and
+    control ops.  Tickets, acks and the journal stay in the worker."""
 
     kind: str = ""
 
@@ -101,53 +102,27 @@ class ExecutionBackend:
         """Bring the core up (no-op inline; first child spawn for
         process execution).  Called once from ``Worker.__init__``."""
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
-        """Apply one batch, already split into same-op ticket segments.
-
-        Inline execution serves synchronously and returns the number of
-        ops absorbed; process execution ships the batch to the child
-        and returns 0 — the results land in :meth:`collect`.
-        ``crash_at`` injects a mid-batch crash before that segment
-        index; ``kill`` delivers a real SIGKILL instead.
+    def serve(self, worker, wire: List[WireSegment], crash_at, kill) -> None:
+        """Start one batch of wire segments; :meth:`collect` returns
+        its results.  ``crash_at`` injects a mid-batch crash before
+        that segment index; ``kill`` delivers a real SIGKILL instead.
         """
         raise NotImplementedError
 
-    def collect(self, worker) -> int:
-        """Absorb the results of the last dispatched batch, if any."""
-        return 0
+    def collect(self, worker) -> Optional[Tuple[List[WireResult], bool]]:
+        """``(results, crashed)`` for the batch :meth:`serve` started:
+        one result per segment of the prefix the core applied *and
+        reported*, and whether the batch ended in a crash.  None when
+        no batch is outstanding."""
+        raise NotImplementedError
 
     def restart(self, worker) -> None:
         """Rebuild the core from the worker's acked-only journal."""
         raise NotImplementedError
 
-    def apply_entries(self, worker, entries) -> int:
-        """Apply migrated journal entries to the live structure — the
-        no-restart half of a routing migration.  The caller already
-        appended the entries to the worker's journal; this only pushes
-        them into the running core.  Returns ops applied."""
-        raise NotImplementedError
-
-    def fall_back(self, worker) -> None:
-        raise NotImplementedError
-
-    def restore_partial_key(self, worker) -> None:
-        raise NotImplementedError
-
-    def force_trip(self, worker) -> None:
-        raise NotImplementedError
-
-    def rearm(self, worker, model) -> bool:
-        """Hot-swap the core to a re-learned EntropyModel.
-
-        Returns True when the live structure rehashed under the new
-        plan.  False means it could not happen *here and now* — an
-        unsupported structure, or a dead child (whose pending restart
-        rebuilds from the updated spec + journal anyway, the
-        journal-assisted half of the swap).
-        """
-        raise NotImplementedError
-
-    def structure_stats(self, worker) -> Dict[str, object]:
+    def control(self, worker, name: str, arg: object = None) -> object:
+        """Run one :meth:`ShardCore.control` op on the live core and
+        return its payload (None when the core is unreachable)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -164,6 +139,7 @@ class InlineBackend(ExecutionBackend):
 
     def __init__(self, adapter: StructureAdapter):
         self.core = ShardCore(adapter)
+        self._outstanding = None
 
     @property
     def adapter(self) -> StructureAdapter:
@@ -177,35 +153,24 @@ class InlineBackend(ExecutionBackend):
     def tripped(self) -> bool:
         return self.core.adapter.tripped
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
+    def serve(self, worker, wire, crash_at, kill) -> None:
         # An inline worker has no process to kill: an injected sigkill
         # degenerates to the ordinary mid-batch crash directive, which
-        # keeps fault plans portable across executions.
+        # keeps fault plans portable across executions.  The segments
+        # before the crash point are applied here, inside dispatch, so
+        # engine fault hooks fire interleaved with the fault plane's
+        # worker-level directives, shard by shard.
         if kill and crash_at is None:
-            crash_at = len(segments) // 2
-        served = 0
-        try:
-            for index, segment in enumerate(segments):
-                if crash_at is not None and index == crash_at:
-                    worker.crashed = True
-                    raise InjectedCrash(
-                        f"worker {worker.shard_id} crashed mid-batch "
-                        f"(segment {index}/{len(segments)})"
-                    )
-                op = segment[0].request.op
-                keys = [t.request.key for t in segment]
-                values = ([t.request.value for t in segment]
-                          if op in ("put", "similar") else None)
-                result = self.core.serve_segment(op, keys, values)
-                worker._absorb_segment(op, segment, result)
-                for ticket in segment:
-                    worker.inflight.pop(ticket.request_id, None)
-                served += len(segment)
-        finally:
-            # Segments served before a crash were applied, acked, and
-            # journaled atomically; they count as processed.
-            worker.processed += served
-        return served
+            crash_at = len(wire) // 2
+        applied = wire if crash_at is None else wire[:crash_at]
+        self._outstanding = (
+            [self.core.serve_segment(*segment) for segment in applied],
+            crash_at is not None,
+        )
+
+    def collect(self, worker):
+        reply, self._outstanding = self._outstanding, None
+        return reply
 
     def restart(self, worker) -> None:
         if worker.factory is None:
@@ -215,23 +180,8 @@ class InlineBackend(ExecutionBackend):
         self.core = ShardCore(worker.factory())
         worker.journal.replay(self.core.adapter)
 
-    def apply_entries(self, worker, entries) -> int:
-        return self.core.apply_entries(entries)
-
-    def fall_back(self, worker) -> None:
-        self.core.fall_back()
-
-    def restore_partial_key(self, worker) -> None:
-        self.core.restore_partial_key()
-
-    def force_trip(self, worker) -> None:
-        self.core.force_trip()
-
-    def rearm(self, worker, model) -> bool:
-        return self.core.rearm_with(model)
-
-    def structure_stats(self, worker) -> Dict[str, object]:
-        return self.core.stats()
+    def control(self, worker, name, arg=None):
+        return self.core.control(name, arg)
 
 
 def _shard_child_main(
@@ -264,7 +214,7 @@ def _shard_child_main(
     try:
         core = ShardCore.from_spec(spec, entries, progress=_replay_progress)
         state_row[TRIPPED] = 1 if core.tripped else 0
-        res_q.put(("ready", incarnation, bool(core.tripped), core.stats()))
+        res_q.put(("ready", incarnation, bool(core.tripped)))
         while True:
             try:
                 msg = cmd_q.get(timeout=_ORPHAN_POLL_S)
@@ -278,29 +228,18 @@ def _shard_child_main(
             if tag == "stop":
                 break
             if tag == "ctl":
-                # 3-tuple for argless control ops; 4-tuple carries the
-                # op's payload (today: rearm's re-learned EntropyModel,
-                # which is plain picklable dataclasses — this is how a
-                # new plan ships to an already-forked child).
-                inc, name = msg[1], msg[2]
-                arg = msg[3] if len(msg) > 3 else None
-                payload = core.control(name, arg)
+                # One control op with its payload (a re-learned
+                # EntropyModel for rearm, migrated entries for apply —
+                # plain picklable data either way).  A long apply
+                # heartbeats like a spawn replay, so the parent can
+                # tell a big migration from a hang.
+                _, inc, name, arg = msg
+                payload = core.control(name, arg, progress=_replay_progress)
                 state_row[HEARTBEAT] += 1
                 state_row[TRIPPED] = 1 if core.tripped else 0
                 res_q.put(
                     ("ctl_done", inc, name, payload, bool(core.tripped))
                 )
-            elif tag == "apply":
-                # Migrated journal entries from a hot-key promotion or
-                # split: replay into the live structure, heartbeating
-                # like a spawn replay so the parent can tell a long
-                # migration from a hang.
-                _, inc, migrated = msg
-                applied = core.apply_entries(
-                    migrated, progress=_replay_progress
-                )
-                state_row[TRIPPED] = 1 if core.tripped else 0
-                res_q.put(("apply_done", inc, applied, bool(core.tripped)))
             elif tag == "batch":
                 _, inc, batch_id, segments, crash_at = msg
                 results = []
@@ -403,9 +342,6 @@ class ProcessBackend(ExecutionBackend):
         self._outstanding = None
         self._killed = False
         self._tripped = False
-        self._structure_stats: Dict[str, object] = {
-            "backend": spec.backend, "fell_back": False,
-        }
         self._finalizer = None
 
     # --------------------------------------------------------- lifecycle
@@ -472,7 +408,6 @@ class ProcessBackend(ExecutionBackend):
                 f"{self.incarnation}) failed to come up"
             )
         self._tripped = bool(ready[2])
-        self._structure_stats = ready[3]
 
     def _stop_child(self, graceful: bool = False) -> None:
         process = self.process
@@ -505,84 +440,86 @@ class ProcessBackend(ExecutionBackend):
 
     # ----------------------------------------------------------- serving
 
-    def serve(self, worker, segments, crash_at, kill) -> int:
-        process = self.process
-        if process is None or not process.is_alive():
-            # Out-of-band death (e.g. an external `kill -9`): surface
-            # it as a crash so the supervisor's journal-replay restart
-            # machinery takes over — a real SIGKILL is just another
-            # FaultPlane crash from here on.
-            worker.crashed = True
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s shard process died out of band"
-            )
-        wire = []
-        for segment in segments:
-            op = segment[0].request.op
-            keys = [t.request.key for t in segment]
-            values = ([t.request.value for t in segment]
-                      if op in ("put", "similar") else None)
-            wire.append((op, keys, values))
+    def serve(self, worker, wire, crash_at, kill) -> None:
+        # Ship the batch; the child chews on it while the parent
+        # dispatches the other shards.  A child that is already dead
+        # (e.g. an external `kill -9`) or a jammed queue surfaces from
+        # collect() as a crash with nothing applied, so the
+        # supervisor's journal-replay restart takes over.
         self._batch_id += 1
-        try:
-            self.cmd_q.put(
-                ("batch", self.incarnation, self._batch_id, wire, crash_at),
-                timeout=self.collect_timeout,
-            )
-        except Exception:
-            worker.crashed = True
-            self._stop_child()
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s command queue jammed"
-            )
-        self._outstanding = (self._batch_id, list(segments))
-        if kill:
+        sent = self._send(
+            ("batch", self.incarnation, self._batch_id, wire, crash_at)
+        )
+        self._outstanding = (self._batch_id, sent)
+        if sent and kill:
             # A real SIGKILL, delivered while the batch is (racily) in
             # flight.  Whatever prefix the child managed to report is
-            # absorbed in collect(); the rest reconciles.
+            # absorbed; the rest reconciles.
             self._killed = True
             try:
-                os.kill(process.pid, signal.SIGKILL)
+                os.kill(self.process.pid, signal.SIGKILL)
             except (ProcessLookupError, OSError):
                 pass
-        return 0
 
-    def collect(self, worker) -> int:
+    def collect(self, worker):
         if self._outstanding is None:
-            return 0
-        batch_id, segments = self._outstanding
+            return None
+        batch_id, sent = self._outstanding
         self._outstanding = None
-        reply = self._await(
-            lambda msg: (msg[0] == "served"
-                         and msg[1] == self.incarnation
-                         and msg[2] == batch_id)
-        )
-        served = 0
-        crashed_flag = False
-        try:
-            if reply is not None:
-                results, crashed_flag = reply[3], bool(reply[4])
-                self._tripped = bool(reply[5])
-                for segment, result in zip(segments, results):
-                    op = segment[0].request.op
-                    worker._absorb_segment(op, segment, result)
-                    for ticket in segment:
-                        worker.inflight.pop(ticket.request_id, None)
-                    served += len(segment)
-        finally:
-            # Mirrors the inline contract: whatever the child applied
-            # *and reported* was acked and journaled, so it counts as
-            # processed even when the batch ended in a crash.
-            worker.processed += served
-        if reply is None or crashed_flag or self._killed:
-            self._killed = False
-            self._stop_child()
-            worker.crashed = True
-            raise InjectedCrash(
-                f"worker {worker.shard_id}'s shard process crashed "
-                f"mid-batch (batch {batch_id}, {served} ops absorbed)"
+        reply = None
+        if sent:
+            reply = self._await(
+                lambda msg: (msg[0] == "served"
+                             and msg[1] == self.incarnation
+                             and msg[2] == batch_id)
             )
-        return served
+        killed, self._killed = self._killed, False
+        if reply is None:
+            self._fail(worker)
+            return [], True
+        self._tripped = bool(reply[5])
+        crashed = bool(reply[4]) or killed
+        if crashed:
+            self._fail(worker)
+        return reply[3], crashed
+
+    def control(self, worker, name, arg=None):
+        if self.process is None:
+            # No child: the backend is closed, or a failure already
+            # stopped it and the restart is pending.
+            return None
+        reply = None
+        if self._send(("ctl", self.incarnation, name, arg)):
+            reply = self._await(
+                lambda msg: (msg[0] == "ctl_done"
+                             and msg[1] == self.incarnation
+                             and msg[2] == name)
+            )
+        if reply is None:
+            self._fail(worker)
+            return None
+        self._tripped = bool(reply[4])
+        return reply[3]
+
+    def _send(self, message) -> bool:
+        """Put one command on the child's queue; False when the child
+        is dead or the queue stays full for ``collect_timeout``."""
+        if not self.child_alive:
+            return False
+        try:
+            self.cmd_q.put(message, timeout=self.collect_timeout)
+        except Exception:
+            return False
+        return True
+
+    def _fail(self, worker) -> None:
+        """The one failure rule for every command: a child that could
+        not take a command, or did not answer it, is stopped and the
+        shard marked crashed.  The next pump restarts it from the
+        journal and the current spec, so no acked write and no rearm
+        is lost with it."""
+        self._stop_child()
+        worker.crashed = True
 
     def _await(self, matches):
         """Wait for a matching reply, heartbeat-aware.
@@ -630,92 +567,6 @@ class ProcessBackend(ExecutionBackend):
             if matches(msg):
                 return msg
         return None
-
-    def apply_entries(self, worker, entries) -> int:
-        """Ship migrated entries to the shard child for live replay.
-
-        A dead or wedged child is not an error here: the caller already
-        appended the entries to the worker's parent-side journal, so
-        the supervisor's restart rebuilds the child *with* the migrated
-        state — we just could not apply them without a restart.
-        """
-        entries = list(entries)
-        if not entries:
-            return 0
-        process = self.process
-        if process is None or not process.is_alive():
-            return 0
-        try:
-            self.cmd_q.put(
-                ("apply", self.incarnation, entries),
-                timeout=self.collect_timeout,
-            )
-        except Exception:
-            worker.crashed = True
-            self._stop_child()
-            return 0
-        reply = self._await(
-            lambda msg: (msg[0] == "apply_done"
-                         and msg[1] == self.incarnation)
-        )
-        if reply is None:
-            worker.crashed = True
-            self._stop_child()
-            return 0
-        self._tripped = bool(reply[3])
-        return int(reply[2])
-
-    # ------------------------------------------------------ degraded mode
-
-    def _control(self, worker, name: str, arg=None):
-        if self.process is None or not self.process.is_alive():
-            # Dead child: the pending restart rebuilds from the journal
-            # and the supervisor re-applies the breaker's fallback, so
-            # there is nothing meaningful to do here.
-            return None
-        message = (("ctl", self.incarnation, name) if arg is None
-                   else ("ctl", self.incarnation, name, arg))
-        try:
-            self.cmd_q.put(message, timeout=1.0)
-        except Exception:
-            return None
-        reply = self._await(
-            lambda msg: (msg[0] == "ctl_done"
-                         and msg[1] == self.incarnation
-                         and msg[2] == name)
-        )
-        if reply is None:
-            # The child wedged inside a control op: treat as a crash.
-            self._stop_child()
-            worker.crashed = True
-            return None
-        self._tripped = bool(reply[4])
-        return reply[3]
-
-    def fall_back(self, worker) -> None:
-        self._control(worker, "fall_back")
-
-    def restore_partial_key(self, worker) -> None:
-        self._control(worker, "restore_partial_key")
-
-    def force_trip(self, worker) -> None:
-        self._control(worker, "force_trip")
-
-    def rearm(self, worker, model) -> bool:
-        """Ship a re-learned model to the live child over the ctl
-        channel and rehash there.  The backend's spec is updated first
-        either way: if the child is dead (or dies mid-rearm), its
-        restart re-forks from the new spec and replays the journal —
-        the journal-assisted path to the same end state.
-        """
-        self.spec = dataclasses.replace(self.spec, model=model, hasher=None)
-        return bool(self._control(worker, "rearm", model))
-
-    def structure_stats(self, worker) -> Dict[str, object]:
-        payload = self._control(worker, "stats")
-        if payload is not None:
-            self._structure_stats = payload
-        return dict(self._structure_stats)
 
     # -------------------------------------------------------------- stats
 

@@ -10,6 +10,14 @@ a forked child under
 :class:`~repro.service.backends.ProcessBackend` — the transport shell
 around it changes, the apply semantics cannot.
 
+Everything else a shard does to its structure is a named *control op*
+through one dispatcher, :meth:`ShardCore.control`: the full-key
+fallback and partial-key restore of the collision monitor's degraded
+mode, a forced trip, a rearm to a re-learned plan, a stats read, and
+the live replay of migrated journal entries.  The inline backend calls
+it directly; the process backend ships ``(name, arg)`` over the
+child's command queue and the child calls it there.
+
 Everything a core touches or returns is picklable by construction;
 tickets and :class:`~repro.service.protocol.Response` objects never
 cross a process boundary.  Acknowledgement, journaling, and client
@@ -21,7 +29,7 @@ reported simply evaporates instead of double-applying.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.service.adapters import AdapterSpec, StructureAdapter
 from repro.service.journal import Entry, replay_entries
@@ -76,68 +84,50 @@ class ShardCore:
             return ("similar", adapter.similar_batch(keys, list(values or ())))
         return ("contains", adapter.contains_batch(keys))
 
-    def apply_entries(
-        self,
-        entries: Sequence[Entry],
-        progress: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Replay migrated journal entries into the *live* structure.
-
-        The migration half of a routing-generation flip: unlike
-        :meth:`from_spec` this mutates an already-serving core, so a
-        promotion or split can move acked state between shards without
-        a restart.  Returns the number of ops applied.
-        """
-        return replay_entries(self.adapter, entries, progress=progress)
-
-    # ------------------------------------------------------ degraded mode
+    # ------------------------------------------------------------ control
 
     @property
     def tripped(self) -> bool:
         return self.adapter.tripped
 
-    def fall_back(self) -> None:
-        self.adapter.fall_back()
+    def control(
+        self,
+        name: str,
+        arg: object = None,
+        progress: Optional[Callable[[int], None]] = None,
+    ) -> object:
+        """Run one named control op; the single dispatcher for both
+        backends.  Returns the op's payload:
 
-    def restore_partial_key(self) -> None:
-        self.adapter.restore_partial_key()
-
-    def force_trip(self) -> None:
-        self.adapter.force_trip()
-
-    def rearm_with(self, model) -> bool:
-        """Hot-swap to a re-learned model; False if unsupported here."""
-        if not self.adapter.rearmable:
-            return False
-        self.adapter.rearm_with(model)
-        return True
-
-    def control(self, name: str, arg: object = None) -> object:
-        """Dispatch one named control op (the process backend's ctl
-        channel); returns the op's payload (stats dict, rearm ack, or
-        None).  ``arg`` carries the op's payload where one exists —
-        today only ``rearm``'s re-learned EntropyModel."""
+        * ``fall_back`` / ``restore_partial_key`` / ``force_trip`` —
+          degraded-mode switches (None);
+        * ``rearm`` — hot-swap to the re-learned model ``arg``; True
+          when the structure rehashed, False if unsupported here;
+        * ``stats`` — the adapter's stats dict;
+        * ``apply`` — replay the migrated journal entries ``arg`` into
+          the *live* structure (the migration half of a routing flip,
+          no restart), calling ``progress`` like a spawn replay does;
+          returns the number of ops applied.
+        """
+        adapter = self.adapter
         if name == "fall_back":
-            self.fall_back()
+            adapter.fall_back()
         elif name == "restore_partial_key":
-            self.restore_partial_key()
+            adapter.restore_partial_key()
         elif name == "force_trip":
-            self.force_trip()
+            adapter.force_trip()
         elif name == "rearm":
-            return self.rearm_with(arg)
+            if not adapter.rearmable:
+                return False
+            adapter.rearm_with(arg)
+            return True
         elif name == "stats":
-            return self.stats()
+            return adapter.stats()
+        elif name == "apply":
+            return replay_entries(adapter, arg, progress=progress)
         else:
             raise ValueError(f"unknown control op {name!r}")
         return None
-
-    # -------------------------------------------------------------- stats
-
-    def stats(self) -> Dict[str, object]:
-        return self.adapter.stats()
-
-    def __len__(self) -> int:
-        return len(self.adapter)
 
 
 __all__ = ["ShardCore", "WireSegment", "WireResult"]

@@ -48,7 +48,7 @@ from repro.core.hasher import EntropyLearnedHasher
 from repro.engine import CollisionMonitor
 from repro.faults import InjectedCrash
 
-from repro.service.adapters import AdapterSpec
+from repro.service.adapters import BACKENDS, AdapterSpec
 from repro.service.backends import EXECUTIONS, ProcessBackend
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.journal import Entry, ShardJournal
@@ -56,7 +56,7 @@ from repro.service.protocol import OK, REJECTED, Request, Response, Ticket
 from repro.service.router import ShardRouter
 from repro.service.state import ShardStateBlock
 from repro.service.supervisor import Supervisor
-from repro.service.worker import BACKENDS, Worker
+from repro.service.worker import Worker
 
 
 def _net_deletes(moved: List[Entry], multiset: bool) -> List[Entry]:
@@ -386,11 +386,11 @@ class Service:
         """One heartbeat: supervise, inject, serve, react.
 
         Serving is two sub-phases: every shard *dispatches* one
-        micro-batch before any shard *collects*.  Inline workers serve
-        synchronously in dispatch (collect is a no-op), so the order of
-        observable effects is unchanged; process workers overlap — all
-        shard children chew on their batches at once and the parent
-        absorbs the results in shard order.  That barrier is also what
+        micro-batch before any shard *collects*.  An inline core applies
+        its batch inside dispatch, so engine fault hooks fire in shard
+        order; process children chew on their batches at once.  Either
+        way ``collect`` absorbs the results — acks, journal, inflight
+        retirement — in shard order.  That barrier is also what
         keeps the client contract: when ``pump()`` returns, every
         dispatched ticket is either answered or a reconciled crash
         victim, never silently in flight across client code.
@@ -403,21 +403,16 @@ class Service:
         # in-flight work" holds by construction.
         self.supervisor.adapt(self.pump_index)
         self._inject_service_faults()
+        for worker in self.workers:
+            worker.dispatch()
         served = 0
         for worker in self.workers:
             try:
-                served += worker.dispatch()
+                served += worker.collect()
             except InjectedCrash:
                 # The worker marked itself crashed before raising; the
                 # supervisor rebuilds it from its journal at the start
                 # of the next pump, before anything else is served.
-                self.supervisor.note_crash(worker)
-        for worker in self.workers:
-            if worker.crashed:
-                continue
-            try:
-                served += worker.collect()
-            except InjectedCrash:
                 self.supervisor.note_crash(worker)
         self._check_monitors()
         self._tick_breakers()
@@ -481,7 +476,7 @@ class Service:
             if cleanup and self.backend != "bloom":
                 # A Bloom filter cannot delete; its stale donor entries
                 # are unreachable after the flip and therefore harmless.
-                donor_worker.apply_entries(cleanup)
+                donor_worker.control("apply", cleanup)
             by_target: Dict[int, List[Entry]] = {}
             for entry in moved:
                 by_target.setdefault(
@@ -490,7 +485,7 @@ class Service:
             for target, entries in by_target.items():
                 target_worker = self.workers[target]
                 target_worker.journal.extend(entries)
-                target_worker.apply_entries(entries)
+                target_worker.control("apply", entries)
         self.router.install(candidate)
         self.router.promoted += len(assignments)
         self._sweep_misrouted()
@@ -572,7 +567,7 @@ class Service:
         self.supervisor.grow()
         cleanup = _net_deletes(moved, multiset)
         if cleanup and self.backend != "bloom":
-            donor_worker.apply_entries(cleanup)
+            donor_worker.control("apply", cleanup)
         self.router.install(candidate)
         self.num_shards = self.router.num_shards
         self.splits += 1
@@ -640,7 +635,7 @@ class Service:
                 # the fault opportunity on it.
                 continue
             if plane.should_fire("corrupt", worker.shard_id):
-                worker.force_trip()
+                worker.control("force_trip")
 
     # -------------------------------------------- breakers / degradation
 
@@ -648,12 +643,12 @@ class Service:
         for worker, breaker in zip(self.workers, self.breakers):
             if worker.tripped and breaker.state != OPEN:
                 breaker.trip(self.pump_index)
-                worker.fall_back()
+                worker.control("fall_back")
 
     def _tick_breakers(self) -> None:
         for worker, breaker in zip(self.workers, self.breakers):
             if breaker.tick(self.pump_index) == "probe":
-                worker.restore_partial_key()
+                worker.control("restore_partial_key")
 
     @property
     def degraded(self) -> bool:
@@ -665,20 +660,10 @@ class Service:
         """Total breaker trips (opens + failed-probe reopens) so far."""
         return sum(b.opens + b.reopens for b in self.breakers)
 
-    def enter_degraded_mode(self) -> None:
-        """Manual kill-switch: trip every shard's breaker at once.
-
-        Shards heal shard-by-shard afterwards, exactly as if each had
-        tripped naturally — cooldown, probe, close."""
-        for worker, breaker in zip(self.workers, self.breakers):
-            if breaker.state != OPEN:
-                breaker.trip(self.pump_index)
-            worker.fall_back()
-
     def force_trip(self, shard: int) -> None:
         """Trip one shard's monitor (drills/tests); only *that* shard's
         breaker opens — its siblings keep partial-key serving."""
-        self.workers[shard].force_trip()
+        self.workers[shard].control("force_trip")
         self._check_monitors()
 
     # ------------------------------------------------------ drift relearn
@@ -703,23 +688,28 @@ class Service:
         re-forks later from the updated spec and replays its journal,
         the journal-assisted path).  After a successful rehash a
         non-closed breaker is reset — its open state guarded a plan
-        that no longer exists.  Finally the service spec and the inline
-        factories are re-pointed so restarts and future splits build
-        the *new* plan, and each journal is compacted (the rehash
-        rewrote the structures anyway; superseded entries must not
-        accumulate across drift cycles).  Returns the number of shards
-        that rehashed live.
+        that no longer exists.  Each shard's rebuild recipe (the inline
+        factory, the process backend's spec) is re-pointed before its
+        rearm and the service spec after, so restarts and future
+        splits build the *new* plan; finally each journal is compacted
+        (the rehash rewrote the structures anyway; superseded entries
+        must not accumulate across drift cycles).  Returns the number
+        of shards that rehashed live.
         """
         new_spec = dataclasses.replace(self._spec, model=model, hasher=None)
         self.plan_moved_keys += self._reroute_fleet(model)
         swapped = 0
         for worker, breaker in zip(self.workers, self.breakers):
-            if worker.rearm_with(model):
+            # Re-point the rebuild recipe first, so a core that dies
+            # mid-rearm restarts on the new plan too.
+            if isinstance(worker.execution, ProcessBackend):
+                worker.execution.spec = new_spec
+            elif worker.factory is not None:
+                worker.factory = new_spec.build
+            if worker.control("rearm", model):
                 swapped += 1
                 if not breaker.closed:
                     breaker.reset()
-            if worker.factory is not None:
-                worker.factory = new_spec.build
         self._spec = new_spec
         for worker in self.workers:
             worker.journal.checkpoint()
@@ -763,13 +753,13 @@ class Service:
             moved_total += len(moved)
             cleanup = _net_deletes(moved, multiset)
             if cleanup and self.backend != "bloom":
-                worker.apply_entries(cleanup)
+                worker.control("apply", cleanup)
             for entry in moved:
                 arrivals.setdefault(target_of[entry[1]], []).append(entry)
         for target, entries in arrivals.items():
             target_worker = self.workers[target]
             target_worker.journal.extend(entries)
-            target_worker.apply_entries(entries)
+            target_worker.control("apply", entries)
         self.router.install(candidate)
         self._sweep_misrouted()
         return moved_total

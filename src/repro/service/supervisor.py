@@ -107,7 +107,7 @@ class Supervisor:
         if not breaker.closed:
             # The shard is still quarantined: the rebuilt structure must
             # serve full-key until the breaker's probe says otherwise.
-            worker.fall_back()
+            worker.control("fall_back")
         if lost:
             self._requeue(worker, lost)
         self.restarts += 1

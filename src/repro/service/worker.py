@@ -13,25 +13,27 @@ in a forked child process
 A pump is two phases.  ``dispatch()`` pops one micro-batch, splits it
 into consecutive same-op *segments* (one compiled ``engine.hash_batch``
 pass each, so per-key ordering is preserved while hashing cost is
-amortized exactly like PR 1's batch paths), applies the fault plane's
+amortized exactly like PR 1's batch paths), reduces each to an
+``(op, keys, values)`` wire segment, applies the fault plane's
 worker-level directives (stall, drop, crash, sigkill), and hands the
-segments to the backend.  ``collect()`` absorbs whatever the backend
-produced: responses are written onto tickets, acknowledged mutations
-are journaled, and inflight entries are retired — all parent-side, for
-both backends, which is what makes a child's state disposable.  Inline
-execution serves synchronously, so ``dispatch`` already absorbs and
-``collect`` is a no-op; ``pump()`` runs both phases back-to-back for
-callers that don't need the cross-shard parallel window.
+batch to the backend.  ``collect()`` absorbs what the backend reports:
+responses are written onto tickets, acknowledged mutations are
+journaled, and inflight entries are retired — once, parent-side, for
+both backends, which is what makes a core's state disposable.
+``pump()`` runs both phases back-to-back for callers that don't need
+the cross-shard parallel window.  Everything else the service asks of
+a shard (degraded-mode switches, rearm, stats, migrated-entry replay)
+goes through the one :meth:`Worker.control` verb.
 
 Since PR 5 a worker is crash-safe: every acknowledged mutation is
 recorded in a per-shard :class:`~repro.service.journal.ShardJournal` at
 ack time, tickets popped from the queue live in an inflight registry
 until answered, and ``restart()`` rebuilds the structure from the
 journal and hands the unanswered tickets back to the supervisor for
-front-of-queue requeue.  A segment is atomic — apply, acknowledge,
-journal together — so a crash can only land *between* segments, never
-tear one; with process execution the same holds because only fully
-reported segments are absorbed.
+front-of-queue requeue.  A segment is atomic: a core reports a segment
+only once it has applied all of it, and ``collect()`` acknowledges and
+journals every reported segment, so on either backend a crash can only
+land *between* segments, never tear one.
 """
 
 from __future__ import annotations
@@ -39,18 +41,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.service.adapters import (  # noqa: F401  (re-exported API)
-    BACKENDS,
-    AdapterSpec,
-    FilterAdapter,
-    LsmAdapter,
-    StructureAdapter,
-    TableAdapter,
-    _full_key_model,
-    make_adapter,
-)
+from repro.faults import InjectedCrash
+
+from repro.service.adapters import StructureAdapter
 from repro.service.backends import ExecutionBackend, InlineBackend
-from repro.service.journal import Entry, ShardJournal
+from repro.service.journal import ShardJournal
 from repro.service.protocol import (
     FAILED,
     OK,
@@ -123,6 +118,13 @@ class Worker:
         self.cancelled = 0
         self.wrong_generation = 0
         self.op_counts: Dict[str, int] = {}
+        # Ticket segments of the batch between dispatch and collect.
+        self._outstanding: Optional[List[List[Ticket]]] = None
+        # Last structure stats a live core reported (a dead process
+        # child cannot answer until its restart).
+        self._structure: Dict[str, object] = {
+            "backend": execution.structure_backend,
+        }
         self.execution.start(self)
 
     @property
@@ -224,21 +226,21 @@ class Worker:
 
     # ------------------------------------------------------------ serving
 
-    def dispatch(self) -> int:
-        """Phase one: pop a micro-batch and hand it to the backend.
+    def dispatch(self) -> None:
+        """Phase one: pop a micro-batch and start it on the backend.
 
-        Returns the ops served synchronously (inline execution); a
-        process backend returns 0 here and yields its count from
-        :meth:`collect` once every shard has been dispatched.
+        The batch is split into same-op segments, each reduced to one
+        ``(op, keys, values)`` wire segment; :meth:`collect` absorbs
+        what the backend reports back.
         """
         if self.crashed or not self.queue:
-            return 0
+            return
         plane = self.fault_plane
         if plane is not None and plane.should_fire("stall", self.shard_id):
             # Stall: return without touching the queue.  The supervisor
             # notices the frozen processed counter and restarts us.
             self.stalls += 1
-            return 0
+            return
         batch: List[Ticket] = []
         while self.queue and len(batch) < self.batch_size:
             ticket = self.queue.popleft()
@@ -260,24 +262,32 @@ class Worker:
             self.inflight[ticket.request_id] = ticket
             batch.append(ticket)
         if not batch:
-            return 0
+            return
         self.batches += 1
         if plane is not None and plane.should_fire("drop", self.shard_id):
             # Drop: the batch is popped but never served or answered.
             # Its tickets sit unanswered in the inflight registry until
             # the supervisor's reconciliation pass requeues them.
             self.drops += 1
-            return 0
+            return
         # Consecutive same-op segments keep per-key FIFO order while
         # sharing one engine.hash_batch pass each.
         segments: List[List[Ticket]] = []
+        wire = []
         start = 0
         while start < len(batch):
             end = start + 1
             op = batch[start].request.op
             while end < len(batch) and batch[end].request.op == op:
                 end += 1
-            segments.append(batch[start:end])
+            segment = batch[start:end]
+            segments.append(segment)
+            wire.append((
+                op,
+                [t.request.key for t in segment],
+                ([t.request.value for t in segment]
+                 if op in ("put", "similar") else None),
+            ))
             start = end
         crash_at = None
         kill = False
@@ -287,7 +297,8 @@ class Worker:
             "sigkill", self.shard_id
         ):
             kill = True
-        return self.execution.serve(self, segments, crash_at, kill)
+        self._outstanding = segments
+        self.execution.serve(self, wire, crash_at, kill)
 
     def _misrouted(self, ticket: Ticket) -> bool:
         """True when a generation flip moved the ticket's key elsewhere.
@@ -302,24 +313,43 @@ class Worker:
             return False
         return self.router.table.route_one(ticket.request.key) != self.shard_id
 
-    def apply_entries(self, entries: List[Entry]) -> int:
-        """Apply migrated journal entries to the live structure.
-
-        The migration path for a hot-key promotion: the entries were
-        already appended to :attr:`journal` by the caller; this pushes
-        them into the running structure (inline: direct replay; process:
-        an ``apply`` command executed in the shard child) without a
-        restart.  Returns the number of ops applied.
-        """
-        return self.execution.apply_entries(self, entries)
-
     def collect(self) -> int:
-        """Phase two: absorb the backend's results for this pump."""
-        return self.execution.collect(self)
+        """Phase two: absorb the backend's results; returns ops served.
+
+        The one ack path for both backends: every reported segment is
+        absorbed (responses, journal, drift tap) and its inflight
+        entries retired.  A batch that ended in a crash raises
+        :class:`~repro.faults.InjectedCrash` after its reported prefix
+        is absorbed; the rest stays inflight for the supervisor.
+        """
+        reply = self.execution.collect(self)
+        if reply is None:
+            return 0
+        results, crashed = reply
+        segments, self._outstanding = self._outstanding, None
+        served = 0
+        try:
+            for segment, result in zip(segments, results):
+                self._absorb_segment(segment[0].request.op, segment, result)
+                for ticket in segment:
+                    self.inflight.pop(ticket.request_id, None)
+                served += len(segment)
+        finally:
+            # Segments applied and reported before a crash were acked
+            # and journaled atomically; they count as processed.
+            self.processed += served
+        if crashed:
+            self.crashed = True
+            raise InjectedCrash(
+                f"worker {self.shard_id} crashed mid-batch "
+                f"({len(results)}/{len(segments)} segments applied)"
+            )
+        return served
 
     def pump(self) -> int:
         """Drain one micro-batch; returns the number of ops served."""
-        return self.dispatch() + self.collect()
+        self.dispatch()
+        return self.collect()
 
     def drain(self) -> int:
         served = 0
@@ -393,18 +423,10 @@ class Worker:
                     OK, found=present, shard=self.shard_id
                 )
 
-    def fall_back(self) -> None:
-        self.execution.fall_back(self)
-
-    def restore_partial_key(self) -> None:
-        self.execution.restore_partial_key(self)
-
-    def force_trip(self) -> None:
-        self.execution.force_trip(self)
-
-    def rearm_with(self, model) -> bool:
-        """Hot-swap this shard's structure to a re-learned model."""
-        return self.execution.rearm(self, model)
+    def control(self, name: str, arg: object = None) -> object:
+        """Run one named control op on this shard's core (see
+        :meth:`~repro.service.core.ShardCore.control`)."""
+        return self.execution.control(self, name, arg)
 
     def close(self) -> None:
         """Release backend resources (child process/queues)."""
@@ -432,21 +454,15 @@ class Worker:
             "cancelled": self.cancelled,
             "wrong_generation": self.wrong_generation,
             "journal": self.journal.stats(),
-            "structure": self.execution.structure_stats(self),
         }
+        structure = self.control("stats")
+        if structure is not None:
+            self._structure = structure
+        out["structure"] = dict(self._structure)
         execution = self.execution.stats()
         if execution.get("execution") != "inline":
             out["execution"] = execution
         return out
 
 
-__all__ = [
-    "BACKENDS",
-    "StructureAdapter",
-    "TableAdapter",
-    "FilterAdapter",
-    "LsmAdapter",
-    "make_adapter",
-    "AdapterSpec",
-    "Worker",
-]
+__all__ = ["Worker"]

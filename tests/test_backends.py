@@ -13,12 +13,16 @@ pin that contract down where it is easiest to get wrong:
   reference state;
 * an out-of-band ``kill -9`` of a live shard child is recovered like
   any other crash, with zero lost acknowledged writes;
-* both backends answer an identical workload identically;
+* both backends answer an identical workload identically, and every
+  control op leaves both in the same state with the same payload;
+* a process shard that cannot take a control op is crashed and
+  restarted from its journal, like any other failed command;
 * the shared-memory ``ShardStateBlock`` and the vectorized admission
   path behave the same way on both sides of the seam.
 """
 
 import os
+import queue
 import signal
 
 import pytest
@@ -268,6 +272,105 @@ def test_inline_and_process_answer_identically(model, corpus):
         finally:
             service.close()
     assert outcomes["inline"] == outcomes["process"]
+
+
+def _owned_keys(service, shard, n):
+    """``n`` fresh keys that route to ``shard``."""
+    keys = []
+    i = 0
+    while len(keys) < n:
+        key = b"migrated-%05d" % i
+        if service.router.table.route_one(key) == shard:
+            keys.append(key)
+        i += 1
+    return keys
+
+
+@needs_fork
+@pytest.mark.parametrize("backend", ["chaining", "probing"])
+def test_control_ops_match_across_executions(model, corpus, backend):
+    # Every control op goes through one dispatcher, ShardCore.control:
+    # inline calls it in the parent, process ships (name, arg) to the
+    # child.  The same sequence must leave both with the same tripped
+    # flag, payloads and structure stats after each op, and an
+    # ``apply`` of migrated entries must read back the same.
+    retrained = train_model(corpus[200:], fixed_dataset=True)
+    outcomes = {}
+    for execution in ("inline", "process"):
+        service = _service(model, execution=execution, backend=backend)
+        try:
+            client, expected = _load(service, corpus)
+            worker = service.workers[0]
+            keys = _owned_keys(service, 0, 12)
+            entries = [("put", key, b"m-" + key) for key in keys]
+            entries += [("delete", key, None) for key in keys[::3]]
+            trace = []
+            for name, arg in [
+                ("force_trip", None),
+                ("fall_back", None),
+                ("restore_partial_key", None),
+                ("rearm", retrained),
+                ("stats", None),
+                ("apply", entries),
+            ]:
+                payload = worker.control(name, arg)
+                trace.append((name, payload, worker.tripped,
+                              worker.stats()["structure"]))
+            outcomes[execution] = {
+                "trace": trace,
+                "migrated": client.multi_get(keys),
+                "reads": {key: client.get(key) for key in expected},
+                "lost_acks": client.lost_acks,
+                "crashed": worker.crashed,
+            }
+        finally:
+            service.close()
+    assert outcomes["inline"] == outcomes["process"]
+    outcome = outcomes["inline"]
+    payloads = {name: payload for name, payload, _, _ in outcome["trace"]}
+    tripped = {name: flag for name, _, flag, _ in outcome["trace"]}
+    assert tripped["force_trip"] and tripped["fall_back"]
+    assert not tripped["restore_partial_key"]
+    assert payloads["rearm"] is True
+    assert payloads["stats"]["backend"] == backend
+    assert payloads["apply"] == len(entries)
+    assert outcome["migrated"] == [
+        None if i % 3 == 0 else b"m-" + key for i, key in enumerate(keys)
+    ]
+    assert outcome["lost_acks"] == 0 and not outcome["crashed"]
+
+
+@needs_fork
+def test_unsendable_control_op_crashes_the_shard(model, corpus):
+    # One failure rule for every command: a control op the child never
+    # received (its command queue stayed full) leaves the child on its
+    # old state, so the shard is stopped and marked crashed, and the
+    # next pump rebuilds it from the journal and the current spec.
+    service = _service(model, execution="process")
+    try:
+        client, expected = _load(service, corpus)
+        worker = service.workers[0]
+        cmd_q = worker.execution.cmd_q
+        put = cmd_q.put
+        jammed = []
+
+        def put_or_jam(message, *args, **kwargs):
+            if message[0] == "ctl" and not jammed:
+                jammed.append(message[2])
+                raise queue.Full
+            return put(message, *args, **kwargs)
+
+        cmd_q.put = put_or_jam
+        assert not worker.control("rearm", model)
+        assert jammed == ["rearm"]
+        assert worker.crashed
+        service.pump()
+        assert not worker.crashed
+        assert worker.restarts == 1
+        assert {key: client.get(key) for key in expected} == expected
+        assert client.lost_acks == 0
+    finally:
+        service.close()
 
 
 def _reference_admission(service, requests):
