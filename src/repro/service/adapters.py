@@ -188,9 +188,10 @@ class TableAdapter(StructureAdapter):
             return
         engine = self.table.engine
         engine.rearm(self._pristine_hasher)
-        # Re-place every entry under the restored partial-key hasher; if
-        # the data is genuinely low-entropy the monitor re-trips during
-        # this very rebuild and the probe fails on the next check.
+        # Re-place every entry under the restored partial-key hasher.  The
+        # rebuild never feeds the monitor, so the half-open probe is
+        # judged by the inserts after it: genuinely low-entropy data
+        # re-trips the monitor there and the probe fails its next check.
         self.table.rebuild_with_hasher(engine.hasher)
         self._degraded = False
 

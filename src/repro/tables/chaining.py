@@ -26,7 +26,7 @@ from repro._util import Key, as_bytes, next_power_of_two
 from repro.core.hasher import EntropyLearnedHasher
 from repro.core.trainer import EntropyModel
 from repro.engine import CollisionMonitor, HashEngine, MaskReducer
-from repro.tables.probing import ProbeStats
+from repro.tables.probing import ProbeStats, insert_in_order
 
 DEFAULT_MAX_LOAD = 1.0
 
@@ -52,7 +52,6 @@ class SeparateChainingTable:
         self.engine = HashEngine(hasher)
         self.max_load = max_load
         self._size = 0
-        self._in_rehash = False
         self._init_buckets(next_power_of_two(max(capacity, 2)))
         self.stats = ProbeStats()
 
@@ -93,29 +92,27 @@ class SeparateChainingTable:
     def insert(self, key: Key, value: Any = None) -> None:
         """Insert or overwrite ``key``; grows ×2 past ``max_load``."""
         key = as_bytes(key)
-        self._insert_one(key, value, None, -1)
+        self._ensure_room()
+        self._insert_at(key, value, self._bucket_index(key))
 
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
-        """Shared insert step for the scalar and batch paths.
-
-        ``h`` is a precomputed raw hash from the batch pipeline; it is
-        recomputed when the engine generation moved (growth swapped the
-        hasher, or a monitor fallback fired mid-batch).
-        """
-        if self._size + 1 > self.capacity_before_rehash:
+    def _ensure_room(self) -> None:
+        """Grow until one more entry fits under ``max_load``."""
+        while self._size + 1 > self.capacity_before_rehash:
             self._grow()
-        bucket = self._buckets[self._bucket_for(key, h, generation)]
+
+    def _insert_at(self, key: bytes, value: Any, index: int) -> None:
+        bucket = self._buckets[index]
         for i, (existing, _) in enumerate(bucket):
             if existing == key:
                 bucket[i] = (key, value)
                 return
         bucket.append((key, value))
         self._size += 1
+        self._after_insert(len(bucket) - 1)
 
-    def _bucket_for(self, key: bytes, h: Optional[int], generation: int) -> int:
-        if h is None or generation != self.engine.generation:
-            return self._bucket_index(key)
-        return int(h) & self._mask
+    def _after_insert(self, displacement: int) -> None:
+        """Post-insert hook; :class:`EntropyAwareTable` feeds the
+        collision monitor here."""
 
     def get(self, key: Key, default: Any = None) -> Any:
         """Value stored under ``key``; counts comparisons in ``stats``."""
@@ -152,26 +149,10 @@ class SeparateChainingTable:
             yield from bucket
 
     def insert_batch(self, keys: Sequence[Key], values=None) -> None:
-        """Insert many keys, hashing them in one engine pass.
-
-        Growth decisions are made per key, exactly as the equivalent
-        scalar loop would — duplicate keys in a batch no longer over-grow
-        the bucket array, so batch- and scalar-built tables have
-        identical geometry and :class:`ProbeStats`.  The raw hashes are
-        geometry-independent, so mid-batch growth does not invalidate
-        the one vectorized hash pass.
-        """
-        keys = [as_bytes(k) for k in keys]
-        if values is None:
-            values = keys
-        if len(values) != len(keys):
-            raise ValueError("values must match keys in length")
-        if not keys:
-            return
-        generation = self.engine.generation
-        hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, hashes):
-            self._insert_one(key, value, int(h), generation)
+        """Insert many keys as the scalar loop would, hashing them in one
+        engine pass plus one per mid-batch hasher swap (see
+        :func:`~repro.tables.probing.insert_in_order`)."""
+        insert_in_order(self, keys, values)
 
     def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
         """Look up many keys, hashing them in one engine pass."""
@@ -202,7 +183,7 @@ class SeparateChainingTable:
         engine ``generation`` they snapshotted at hash time; if the
         hasher was swapped since (monitor fallback, plan re-learn), the
         stale hashes are discarded and recomputed — the probe analogue
-        of ``_bucket_for``'s insert-time recompute.
+        of ``insert_batch``'s suffix re-hash.
         """
         if generation is not None and generation != self.engine.generation:
             hashes = self.engine.hash_batch(keys)
@@ -229,16 +210,15 @@ class SeparateChainingTable:
         """Growth hook; :class:`EntropyAwareTable` upgrades the hash here."""
 
     def _rehash(self, num_buckets: int) -> None:
+        """Re-place every entry from one hash pass (see
+        :meth:`LinearProbingTable._rehash`); keys are distinct, so each
+        is appended to its bucket."""
         entries = list(self.items())
+        assert len(entries) <= self.max_load * num_buckets, "rehash past max_load"
         self._init_buckets(num_buckets)
-        self._size = 0
-        # Monitors must not judge the correlated re-insert burst.
-        self._in_rehash = True
-        try:
-            for key, value in entries:
-                self.insert(key, value)
-        finally:
-            self._in_rehash = False
+        indices = self.engine.hash_batch([key for key, _ in entries], self._reducer)
+        for entry, index in zip(entries, indices.tolist()):
+            self._buckets[index].append(entry)
 
     def rebuild_with_hasher(self, hasher: EntropyLearnedHasher) -> None:
         """Rehash all entries under a new hash (robustness fallback)."""
@@ -306,32 +286,19 @@ class EntropyAwareTable(SeparateChainingTable):
             self.model.hasher_for_chaining_table(new_capacity, seed=self._seed)
         )
 
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
-        if self._size + 1 > self.capacity_before_rehash:
-            self._grow()
-        bucket = self._buckets[self._bucket_for(key, h, generation)]
-        for i, (existing, _) in enumerate(bucket):
-            if existing == key:
-                bucket[i] = (key, value)
-                return
-        if not self._in_rehash:
-            # Displacement for chaining = how many keys already share the
-            # bucket; the cheap signal the paper says to track.  The
-            # engine compares it against the entropy budget and, past it,
-            # swaps itself to full-key hashing before we rehash.  Batch
-            # inserts route through here too, so the monitor sees every
-            # insert regardless of code path.
-            if self.engine.record_insert(
-                len(bucket),
-                expected=self._size / self.num_buckets,
-                n=self._size + 1,
-            ):
-                self._rehash(self.num_buckets)
-                # The fallback bumped the engine generation, so a batch-
-                # precomputed hash is recomputed with the full-key hasher.
-                bucket = self._buckets[self._bucket_for(key, h, generation)]
-        bucket.append((key, value))
-        self._size += 1
+    def _after_insert(self, displacement: int) -> None:
+        # Displacement for chaining = how many keys already shared the
+        # bucket; the cheap signal the paper says to track.  The engine
+        # compares it against the entropy budget and, past it, swaps
+        # itself to full-key hashing before we rehash.  Batch inserts
+        # route through here too, so the monitor sees every insert
+        # regardless of code path.
+        if self.engine.record_insert(
+            displacement,
+            expected=(self._size - 1) / self.num_buckets,
+            n=self._size,
+        ):
+            self._rehash(self.num_buckets)
 
     def _fall_back_to_full_key(self) -> None:
         self.engine.fall_back_to_full_key()

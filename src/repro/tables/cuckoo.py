@@ -185,11 +185,14 @@ class CuckooTable:
                     return True
         return False
 
-    def _place(self, entry: Tuple[bytes, Any]) -> Optional[Tuple[bytes, Any]]:
-        """Random-walk insertion; returns the homeless entry on failure."""
+    def _place(
+        self, entry: Tuple[bytes, Any], pairs: Optional[dict] = None
+    ) -> Optional[Tuple[bytes, Any]]:
+        """Random-walk insertion; returns the homeless entry on failure.
+        ``pairs``, if given, maps every key the walk can meet to its pair."""
         for _ in range(MAX_RELOCATIONS):
             key, _ = entry
-            b1, b2 = self._bucket_pair(key)
+            b1, b2 = pairs[key] if pairs is not None else self._bucket_pair(key)
             for bucket_index in (b1, b2):
                 bucket = self._buckets[bucket_index]
                 if len(bucket) < BUCKET_SLOTS:
@@ -222,15 +225,21 @@ class CuckooTable:
     # --------------------------------------------------------------- resizing
 
     def _grow(self) -> None:
+        """Rebuild at twice the buckets from one hash pass; the walk
+        looks pairs up, so its RNG draws match a per-step hashing walk."""
         self.rebuilds += 1
         entries = list(self.items())
+        keys = [key for key, _ in entries]
+        hashes = self.engine.hash_batch(keys)
         num_buckets = self._num_buckets * 2
         while True:
             self._init_buckets(num_buckets)
             self._size = 0
+            b1s, b2s = self._bucket_pairs_from_hashes(hashes)
+            pairs = dict(zip(keys, zip(b1s.tolist(), b2s.tolist())))
             success = True
-            for key, value in entries:
-                if self._place((key, value)) is not None:
+            for entry in entries:
+                if self._place(entry, pairs) is not None:
                     success = False
                     break
                 self._size += 1

@@ -64,6 +64,40 @@ class ProbeStats:
         return self.chain_total / self.probes
 
 
+def insert_in_order(table, keys: Sequence[Key], values=None) -> None:
+    """The batch insert both hash tables share: scalar semantics, one hash pass.
+
+    ``values`` defaults to the keys.  Room is made before every key as
+    scalar ``insert`` does, so batch- and scalar-built tables end with
+    identical geometry, items and :class:`ProbeStats`.  Each raw hash is
+    reduced by the current ``table._reducer``, so growth under the same
+    hasher needs no new pass.  When the engine generation moves (a grow
+    swapped the hasher, or the monitor fell back), the unconsumed suffix
+    is re-hashed in one ``hash_batch`` call: no stale hash places a key,
+    and no key falls back to ``hash_one``.
+    """
+    keys = [as_bytes(k) for k in keys]
+    if values is None:
+        values = keys
+    if len(values) != len(keys):
+        raise ValueError("values must match keys in length")
+    if not keys:
+        return
+    engine, start = table.engine, 0
+    hashes = engine.hash_batch(keys).tolist()
+    while True:
+        generation = engine.generation
+        for h in hashes:
+            table._ensure_room()
+            if engine.generation != generation:
+                break
+            table._insert_at(keys[start], values[start], table._reducer.apply_one(h))
+            start += 1
+        else:
+            return
+        hashes = engine.hash_batch(keys[start:]).tolist()
+
+
 class LinearProbingTable:
     """Open-addressing table: hash → slot, walk right until empty slot.
 
@@ -88,7 +122,6 @@ class LinearProbingTable:
         self.max_load = max_load
         self._size = 0
         self._tombstones = 0
-        self._in_rehash = False
         self._init_slots(next_power_of_two(max(capacity, 2)))
         self.stats = ProbeStats()
 
@@ -140,22 +173,8 @@ class LinearProbingTable:
         delete-heavy churn cannot double capacity indefinitely.
         """
         key = as_bytes(key)
-        self._insert_one(key, value, None, -1)
-
-    def _insert_one(self, key: bytes, value: Any, h: Optional[int], generation: int) -> None:
-        """Shared insert step for the scalar and batch paths.
-
-        ``h`` is a precomputed raw 64-bit hash from the batch pipeline
-        (geometry-independent, so it survives growth); it is recomputed
-        whenever the engine's generation moved past ``generation`` — a
-        resize upgraded the hasher or a monitor fallback fired mid-batch.
-        """
         self._ensure_room()
-        if h is None or generation != self.engine.generation:
-            slot, tag = self._slot_and_tag(key)
-        else:
-            slot, tag = self._slot_and_tag_from_hash(h)
-        self._insert_at(key, value, slot, tag)
+        self._insert_at(key, value, self._slot_and_tag(key))
 
     def _ensure_room(self) -> None:
         """Make room for one more entry.
@@ -170,7 +189,8 @@ class LinearProbingTable:
             else:
                 self._grow()
 
-    def _insert_at(self, key: bytes, value: Any, slot: int, tag: int) -> None:
+    def _insert_at(self, key: bytes, value: Any, home: Tuple[int, int]) -> None:
+        slot, tag = home
         first_deleted = None
         displacement = 0
         while True:
@@ -250,31 +270,10 @@ class LinearProbingTable:
                 yield self._keys[i], self._values[i]
 
     def insert_batch(self, keys: Sequence[Key], values=None) -> None:
-        """Insert many keys, hashing them in one engine pass.
-
-        ``values`` defaults to the keys themselves.  Growth decisions are
-        made per key, exactly as the equivalent scalar loop would make
-        them, so batch- and scalar-built tables end with identical
-        geometry and identical :class:`ProbeStats` — duplicate keys in a
-        batch no longer over-grow the table.  The raw 64-bit hashes are
-        still computed in one vectorized pass; they are geometry-
-        independent, so mid-batch growth does not invalidate them.
-        """
-        keys = [as_bytes(k) for k in keys]
-        if values is None:
-            values = keys
-        if len(values) != len(keys):
-            raise ValueError("values must match keys in length")
-        if not keys:
-            return
-        generation = self.engine.generation
-        hashes = self.engine.hash_batch(keys)
-        for key, value, h in zip(keys, values, hashes):
-            self._insert_one(key, value, int(h), generation)
-
-    def _insert_hashed(self, key: bytes, value: Any, h: int) -> None:
-        slot, tag = self._slot_and_tag_from_hash(h)
-        self._insert_at(key, value, slot, tag)
+        """Insert many keys as the scalar loop would, hashing them in one
+        engine pass plus one per mid-batch hasher swap (see
+        :func:`insert_in_order`)."""
+        insert_in_order(self, keys, values)
 
     def probe_batch(self, keys: Sequence[Key]) -> List[Any]:
         """Probe many keys, hashing them in one engine pass."""
@@ -355,18 +354,25 @@ class LinearProbingTable:
         """Growth hook; subclasses may swap ``self.hasher`` here."""
 
     def _rehash(self, num_slots: int) -> None:
+        """Re-place every live entry from one hash pass.
+
+        Keys are distinct and tombstones drop, so each entry takes the
+        first empty slot from its home.  Skipping ``_ensure_room`` makes
+        the load bound a precondition; skipping :meth:`_after_insert`
+        keeps monitors from judging this correlated slot-order replay.
+        """
         entries = list(self.items())
+        assert len(entries) <= self.max_load * num_slots, "rehash past max_load"
         self._init_slots(num_slots)
-        self._size = 0
         self._tombstones = 0
-        # Re-inserts replay keys in old-table slot order, which is highly
-        # correlated; collision monitors must not judge that burst.
-        self._in_rehash = True
-        try:
-            for key, value in entries:
-                self.insert(key, value)
-        finally:
-            self._in_rehash = False
+        tags, keys, values, mask = self._tags, self._keys, self._values, self._mask
+        slots, home_tags = self.engine.hash_batch(
+            [key for key, _ in entries], self._reducer
+        )
+        for (key, value), slot, tag in zip(entries, slots.tolist(), home_tags.tolist()):
+            while tags[slot] != _EMPTY:
+                slot = (slot + 1) & mask
+            tags[slot], keys[slot], values[slot] = tag, key, value
 
     def rebuild_with_hasher(self, hasher: EntropyLearnedHasher) -> None:
         """Rehash every entry with a new hash (robustness fallback path)."""
@@ -377,13 +383,11 @@ class LinearProbingTable:
 
     def displacement_histogram(self) -> List[int]:
         """How far each stored key sits from its home slot (diagnostics)."""
-        result = []
-        for i, state in enumerate(self._tags):
-            if state < _TAG_STATES:
-                continue
-            home, _ = self._slot_and_tag(self._keys[i])
-            result.append((i - home) & self._mask)
-        return result
+        occupied = [i for i, state in enumerate(self._tags) if state >= _TAG_STATES]
+        homes, _ = self.engine.hash_batch(
+            [self._keys[i] for i in occupied], self._reducer
+        )
+        return [(i - home) & self._mask for i, home in zip(occupied, homes.tolist())]
 
 
 class EntropyAwareProbingTable(LinearProbingTable):
@@ -449,8 +453,6 @@ class EntropyAwareProbingTable(LinearProbingTable):
             self.monitor.reset()
 
     def _after_insert(self, displacement: int) -> None:
-        if self._in_rehash:
-            return
         # Structural baseline: Knuth's expected displacement for an
         # ideal hash at the current load, (Q1(m, n) - 1) / 2.  The
         # engine weighs it against the entropy budget and swaps itself

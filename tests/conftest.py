@@ -53,3 +53,14 @@ def structured_corpus():
 def random_bytes_keys():
     r = random.Random(7)
     return [bytes(r.randrange(256) for _ in range(24)) for _ in range(400)]
+
+
+@pytest.fixture(scope="session")
+def layered_corpus():
+    """Keys of twelve 8-byte words, each word one of four values (2 bits):
+    a model trained on them adds a word at nearly every table doubling,
+    so entropy-aware growth really swaps the hasher."""
+    r = random.Random(5)
+    words = [bytes([65 + i]) * 8 for i in range(4)]
+    keys = (b"".join(r.choice(words) for _ in range(12)) for _ in range(700))
+    return list(dict.fromkeys(keys))

@@ -1,5 +1,6 @@
 """Tests for the separate-chaining table and the entropy-aware wrapper."""
 
+import math
 import random
 
 import pytest
@@ -184,3 +185,83 @@ class TestInsertBatch:
         table = SeparateChainingTable(full_hasher)
         with pytest.raises(ValueError):
             table.insert_batch([b"a"], [1, 2])
+
+
+class TestEntropyAwareBatchScalarParity:
+    """Every grow of an :class:`EntropyAwareTable` swaps the hasher, so
+    ``insert_batch`` re-hashes its unconsumed suffix mid-batch; it must
+    still match the scalar loop and never hash key by key."""
+
+    @pytest.fixture(scope="class")
+    def model(self, layered_corpus):
+        return train_model(layered_corpus, fixed_dataset=True)
+
+    @staticmethod
+    def _stream(layered_corpus):
+        rng = random.Random(11)
+        keys = layered_corpus[:300] + rng.sample(layered_corpus[:300], 60)
+        rng.shuffle(keys)
+        return keys
+
+    def _pair(self, model, trip_at=None):
+        tables = []
+        for _ in range(2):
+            monitor = None
+            if trip_at is not None:
+                monitor = CollisionMonitor(
+                    entropy=math.inf, num_slots=16, min_inserts=1
+                )
+            table = EntropyAwareTable(model, capacity=16, monitor=monitor)
+            if trip_at is not None:
+                # Both tables feed the monitor the same insert sequence,
+                # so a hook that counts signals trips both at one insert.
+                signals = []
+
+                def hook(displacement, signals=signals):
+                    signals.append(displacement)
+                    return 1e9 if len(signals) == trip_at else 0.0
+
+                table.engine.fault_hook = hook
+            tables.append(table)
+        return tables
+
+    def _check_parity(self, model, keys, trip_at=None):
+        batch, scalar = self._pair(model, trip_at)
+        counters = batch.engine.counters
+        for start in range(0, len(keys), 128):
+            chunk = keys[start:start + 128]
+            buckets, calls, fallbacks = (
+                batch.num_buckets, counters.batches, counters.fallback_events
+            )
+            batch.insert_batch(chunk, list(range(start, start + len(chunk))))
+            grows = (batch.num_buckets // buckets).bit_length() - 1
+            fallbacks = counters.fallback_events - fallbacks
+            calls = counters.batches - calls
+            # One pass for the batch; per grow or fallback, one for the
+            # resident rehash and at most one for the suffix.
+            assert 1 + grows + fallbacks <= calls <= 1 + 2 * (grows + fallbacks)
+        for i, key in enumerate(keys):
+            scalar.insert(key, i)
+        assert batch.num_buckets == scalar.num_buckets
+        assert batch.num_buckets >= 16 * 2 ** 3
+        assert sorted(batch.items()) == sorted(scalar.items())
+        assert batch.engine.generation == scalar.engine.generation
+        assert batch.fallen_back == scalar.fallen_back
+        probe_keys = keys[::3] + [f"miss-{i:04d}".encode() for i in range(60)]
+        assert batch.probe_batch(probe_keys) == [scalar.get(k) for k in probe_keys]
+        for field in ("probes", "key_comparisons", "chain_total"):
+            assert getattr(batch.stats, field) == getattr(scalar.stats, field), field
+        assert counters.scalar_calls == 0
+        return batch
+
+    def test_growth_parity(self, model, layered_corpus):
+        first_words = len(self._pair(model)[0].hasher.partial_key.positions)
+        batch = self._check_parity(model, self._stream(layered_corpus))
+        assert not batch.fallen_back
+        # Growth swapped in wider hashers, so the suffix re-hash ran.
+        assert len(batch.hasher.partial_key.positions) > first_words
+
+    def test_mid_batch_fallback_parity(self, model, layered_corpus):
+        batch = self._check_parity(model, self._stream(layered_corpus), trip_at=150)
+        assert batch.fallen_back
+        assert batch.engine.counters.fallback_events == 1

@@ -104,6 +104,22 @@ class TestCuckooProperties:
             table.insert(f"k{i}".encode(), i)
         assert table.relocations >= 0  # counter exists and is sane
 
+    def test_grow_hashes_entries_in_one_pass(self, full_hasher):
+        table = CuckooTable(full_hasher, capacity=256, max_load=0.9)
+        keys = [f"grow-{i}".encode() for i in range(220)]
+        for i, key in enumerate(keys):
+            table.insert(key, i)
+        counters = table.engine.counters
+        scalar_calls, batches = counters.scalar_calls, counters.batches
+        slots, rebuilds = table.num_slots, table.rebuilds
+        table._grow()
+        assert counters.scalar_calls == scalar_calls
+        assert counters.batches == batches + 1
+        assert table.num_slots >= 2 * slots
+        assert table.rebuilds == rebuilds + 1
+        assert len(table) == len(keys)
+        assert table.probe_batch(keys) == list(range(len(keys)))
+
 
 class TestWithEntropyLearnedHashing:
     def test_elh_cuckoo_correct(self, google_corpus):

@@ -34,6 +34,7 @@ from repro.drift import (
 )
 from repro.drift.relearner import certified_model
 from repro.core.hasher import EntropyLearnedHasher
+from repro.engine import CollisionMonitor
 from repro.service import Service, ServiceClient, run_service_workload
 from repro.tables.chaining import (
     DEFAULT_MAX_LOAD as CHAINING_MAX_LOAD,
@@ -411,18 +412,39 @@ class TestRearmMidBatchStaleness:
         assert found == keys
 
     def test_chaining_insert_recomputes_stale_hash(self, corpus, model):
-        table = EntropyAwareTable(model, capacity=1024, seed=3)
-        for key in corpus[:100]:
-            table.insert(key, key)
-        straggler = corpus[100]
-        stale_hash = int(table.engine.hash_batch([straggler])[0])
-        stale_generation = self._swap_engine(table)
-        table.rebuild_with_hasher(table.engine.hasher)
-        # The straggler carries a hash snapshotted before the swap: the
-        # generation mismatch must force a recompute at insert time.
-        table._insert_one(straggler, straggler, stale_hash,
-                          stale_generation)
+        table = EntropyAwareTable(
+            model, capacity=1024, seed=3,
+            monitor=CollisionMonitor(entropy=math.inf, num_slots=1024,
+                                     min_inserts=1),
+        )
+        mask = table.num_buckets - 1
+        pristine = table.engine.hasher
+        full = EntropyLearnedHasher.full_key(pristine.base,
+                                             seed=pristine.seed)
+        # A straggler whose pre-swap bucket differs from its post-swap
+        # one, so a placement by the stale hash would lose it.
+        straggler = next(k for k in corpus[100:]
+                         if pristine(k) & mask != full(k) & mask)
+        keys = corpus[:100] + [straggler]
+        signals = []
+
+        def trip_on_last_resident(displacement):
+            signals.append(displacement)
+            return 1e9 if len(signals) == 100 else 0.0
+
+        table.engine.fault_hook = trip_on_last_resident
+        generation = table.engine.generation
+        # One batch: the monitor falls back to full-key hashing on the
+        # 100th insert, so the straggler's hash from the batch's one pass
+        # is stale; the generation mismatch must re-hash it before it is
+        # placed.
+        table.insert_batch(keys)
+        assert len(signals) == 100
+        assert table.fallen_back
+        assert table.engine.generation == generation + 1
+        assert table.engine.counters.scalar_calls == 0
         assert table.get(straggler) == straggler
+        assert table.probe_batch(keys) == keys
 
 
 # -------------------------------------------- service: stats + swap + e2e

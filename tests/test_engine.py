@@ -309,7 +309,6 @@ class TestFallbackPlanCacheInvalidation:
         second.engine = first.engine
         second.max_load = first.max_load
         second._size = 0
-        second._in_rehash = False
         second._init_buckets(64)
         from repro.tables.probing import ProbeStats
 
